@@ -1,13 +1,13 @@
 """Boundary-data recovery for the two-dimensional Laplace equation by an
 iterative marching observer, plus the spectral diagnostics that back it."""
 
-from .discrete_ops import (StateVector, SystemMatrices, assemble,
-                           fictitious_point, step_line)
+from .discrete_ops import (SystemMatrices, assemble, fictitious_point,
+                           sweep_form)
 from .gain import (GainVector, ObservabilityDeficient, PlacementFailed,
                    PoleSpec, ackermann_gain, observability_matrix,
                    power_iteration_radius, ring_poles, spectral_radius,
                    tuned_injection_gain, uniform_poles)
-from .grid import RectGrid, build_grid, x_nodes, y_nodes
+from .grid import RectGrid, build_grid
 from .observer import (NonFiniteState, ObserverConfig, ObserverProblem,
                        SweepReport, error_bottom, march_sweep, run,
                        top_residual)

@@ -1,14 +1,16 @@
-"""Marching operator assembly, boundary closures, and the single line step.
+"""Marching operator assembly, boundary closures, and the sweep's affine form.
 
 The second-order system is marched in x as a first-order recursion for the
-stacked state (u samples, du/dx samples) on one vertical grid line:
+stacked state (u samples, du/dx samples) on one vertical grid line.  With
+output injection through the gain K every step is the same affine map
 
-    state_next = F @ state - K * (C @ state - f) + dx * forcing
+    state_{n+1} = M @ state_n + U[n],   M = F - K C,   U[n] = K f[n] + dx b[n]
 
 F = I + dx * A with A = [[0, I], [-D, 0]], D the second-difference matrix in
-y.  The top row of D folds the Neumann condition in through a mirror ghost
-node whose data term is moved to the forcing.  Two closures are available
-for the bottom row, where no data exists:
+y, and C selects the top u sample.  The top row of D folds the Neumann
+condition in through a mirror ghost node whose data term, -2 g[n] / dy in
+the top du/dx row, is b[n].  Two closures are available for the bottom row,
+where no data exists:
 
 ``one_sided``  (default)
     Second-order one-sided stencil using interior values only.  The marching
@@ -19,49 +21,22 @@ for the bottom row, where no data exists:
 ``ghost``
     The bottom row keeps the centered stencil and is closed per step by a
     fictitious node below the boundary (see ``fictitious_point``), whose
-    value encodes the interior equation holding on the boundary.  The ghost
-    value depends on a lagged copy of the bottom du/dx, which couples
+    value encodes the interior equation holding on the boundary.  Folded
+    into the affine form, the bottom du/dx of step n+1 is the previous
+    sweep's value there minus its innovation term, which couples
     consecutive sweeps; measurements show that feedback loop amplifies
     (sweep-map spectral radius far above one on stiff grids), so this
     closure is provided for study rather than production marching.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .grid import RectGrid
 
 BOTTOM_CLOSURES = ("one_sided", "ghost")
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """State on one vertical line: u samples and du/dx samples, length ny each."""
-
-    xi1: np.ndarray
-    xi2: np.ndarray
-
-    def __post_init__(self):
-        xi1 = np.asarray(self.xi1, dtype=float)
-        xi2 = np.asarray(self.xi2, dtype=float)
-        if xi1.shape != xi2.shape or xi1.ndim != 1:
-            raise ValueError("xi1 and xi2 must be 1-d arrays of equal length")
-        object.__setattr__(self, "xi1", xi1)
-        object.__setattr__(self, "xi2", xi2)
-
-    @property
-    def ny(self) -> int:
-        return len(self.xi1)
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.xi1, self.xi2])
-
-    @staticmethod
-    def from_stacked(v: np.ndarray) -> "StateVector":
-        v = np.asarray(v, dtype=float)
-        ny = v.size // 2
-        return StateVector(xi1=v[:ny], xi2=v[ny:])
 
 
 @dataclass(frozen=True)
@@ -128,34 +103,29 @@ def fictitious_point(xi1_1: float, xi1_2: float, xi2_1_next: float,
     return 2.0 * xi1_1 - xi1_2 - (dy * dy / dx) * (xi2_1_next - xi2_1_cur)
 
 
-def forcing_vector(mats: SystemMatrices, g_meas: float, ghost: float) -> np.ndarray:
-    """Data and closure contributions entering the step as dx * forcing."""
-    ny = mats.ny
-    b = np.zeros(2 * ny)
-    b[2 * ny - 1] = -2.0 * g_meas / mats.dy
-    if mats.bottom_closure == "ghost":
-        b[ny] = -ghost / (mats.dy * mats.dy)
-    return b
 
 
-def step_stacked(state: np.ndarray, mats: SystemMatrices, k: np.ndarray,
-                 f_meas: float, g_meas: float, ghost: float = 0.0) -> np.ndarray:
-    """One marching step on a stacked state vector."""
-    innovation = state[mats.ny - 1] - f_meas
-    return (mats.F @ state - k * innovation
-            + mats.dx * forcing_vector(mats, g_meas, ghost))
+def sweep_form(mats: SystemMatrices, k: np.ndarray, f: np.ndarray,
+               g: np.ndarray, prev_field: Optional[np.ndarray] = None):
+    """Affine form (M, U) of one sweep: state n+1 is M @ state n + U[n].
 
+    M = F - K C and U[n] = K f[n] + dx * b(g[n]), one row per step, so U has
+    len(f) - 1 rows.  The data term of b is -2 g / dy in the top du/dx row.
 
-def step_line(state: StateVector, mats: SystemMatrices, gain,
-              f_meas: float, g_meas: float, ghost: float = 0.0) -> StateVector:
-    """Advance one vertical line by one x step with output injection.
-
-    ``gain`` is a GainVector or a plain array of length 2*ny.  ``ghost`` is
-    only consulted by ghost-closure matrices.
+    For the ghost closure, substituting ``fictitious_point`` into the
+    centered bottom du/dx row cancels every F term there: that row of M is
+    -k[ny] C and U[n, ny] gains prev_field[n + 1, ny], the lagged bottom
+    du/dx of the previous sweep, which must then be given.
     """
-    k = np.asarray(getattr(gain, "k", gain), dtype=float)
-    v = state.stacked()
-    if len(k) != len(v) or mats.F.shape[0] != len(v):
-        raise ValueError("state, matrices and gain dimensions disagree")
-    return StateVector.from_stacked(
-        step_stacked(v, mats, k, f_meas, g_meas, ghost))
+    ny = mats.ny
+    k = np.asarray(k, dtype=float)
+    f = np.asarray(f, dtype=float)
+    M = mats.F - np.outer(k, mats.C_row)
+    U = np.outer(f[:-1], k)
+    U[:, -1] -= 2.0 * mats.dx * np.asarray(g, dtype=float)[:-1] / mats.dy
+    if mats.bottom_closure == "ghost":
+        if prev_field is None:
+            raise ValueError("the ghost closure needs the previous sweep's field")
+        M[ny] = -k[ny] * mats.C_row
+        U[:, ny] += prev_field[1:, ny]
+    return M, U

@@ -45,12 +45,3 @@ def build_grid(a: float, b: float, nx: int, ny: int) -> RectGrid:
     return RectGrid(a=float(a), b=float(b), nx=int(nx), ny=int(ny),
                     dx=float(a) / (nx - 1), dy=float(b) / (ny - 1))
 
-
-def x_nodes(grid: RectGrid) -> np.ndarray:
-    """x coordinates, 0 to a inclusive, length nx."""
-    return grid.x
-
-
-def y_nodes(grid: RectGrid) -> np.ndarray:
-    """y coordinates, 0 to b inclusive, length ny."""
-    return grid.y

@@ -6,10 +6,16 @@ wrap-around: the starting line of a sweep is the final line of the previous
 one, so the march never restarts from scratch and the domain behaves like a
 periodic strip in x.
 
-With the default one-sided bottom closure the march is an affine recursion
-with matrix F - K C, so the whole sweep map is a strict contraction whenever
-the gain certificate holds, and two runs fed the same data differ exactly by
-powers of F - K C applied to the difference of their starting lines.
+Within a sweep every step is the affine recursion
+
+    x_{n+1} = M @ x_n + U[n],   M = F - K C,   U[n] = K f[n] + dx b(g[n])
+
+built once per sweep by ``discrete_ops.sweep_form``; the divergence guard is
+checked once over the whole marched sweep.  With the default one-sided
+bottom closure a sweep depends on the previous one only through its final
+line, so the whole sweep map is a strict contraction whenever the gain
+certificate holds, and two runs fed the same data differ exactly by powers
+of M applied to the difference of their starting lines.
 """
 
 import warnings
@@ -18,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .discrete_ops import SystemMatrices, fictitious_point, step_stacked
+from .discrete_ops import SystemMatrices, sweep_form
 from .gain import GainVector
 from .grid import RectGrid
 from .reference import CauchyData, ReferenceSolution, bottom_trace
@@ -115,27 +121,23 @@ def march_sweep(prev_field: np.ndarray, mats: SystemMatrices, k: np.ndarray,
                 f: np.ndarray, g: np.ndarray, guard: float) -> np.ndarray:
     """One full sweep; the new field's first line is the previous final line.
 
-    Raises NonFiniteState when any marched state leaves the guard ball.
+    Marches x = M @ x + U[n] with (M, U) from ``sweep_form``.  Raises
+    NonFiniteState, naming the first offending step, when any marched state
+    leaves the guard ball or is not finite.
     """
-    nx = len(f)
-    n2 = 2 * mats.ny
-    ny = mats.ny
-    ghost_mode = mats.bottom_closure == "ghost"
-    cur = np.empty((nx, n2))
-    cur[0] = prev_field[-1]
-    for n in range(nx - 1):
-        s = cur[n]
-        if ghost_mode:
-            ghost = fictitious_point(s[0], s[1], prev_field[n + 1][ny], s[ny],
-                                     mats.dy, mats.dx)
-        else:
-            ghost = 0.0
-        new = step_stacked(s, mats, k, f[n], g[n], ghost)
-        if not np.isfinite(new).all() or np.abs(new).max() > guard:
-            raise NonFiniteState(
-                f"divergence guard tripped at sweep step {n + 1}: "
-                f"state magnitude exceeded {guard:.1e}")
-        cur[n + 1] = new
+    M, U = sweep_form(mats, k, f, g, prev_field)
+    cur = np.empty((len(f), 2 * mats.ny))
+    x = cur[0] = prev_field[-1]
+    # a diverging march may overflow before the guard is checked below;
+    # M.dot(x) gives the same bits as M @ x with less call overhead per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, u in enumerate(U, 1):
+            x = cur[n] = M.dot(x) + u
+        outside = ~(np.abs(cur[1:]) <= guard).all(axis=1)
+    if outside.any():
+        raise NonFiniteState(
+            f"divergence guard tripped at sweep step {outside.argmax() + 1}: "
+            f"state magnitude exceeded {guard:.1e}")
     return cur
 
 

@@ -145,10 +145,6 @@ def sample_state_field(sol: ReferenceSolution, grid: RectGrid) -> np.ndarray:
 
     Useful as a consistent initial guess and in accuracy studies.
     """
-    field = np.zeros((grid.nx, 2 * grid.ny))
-    x = grid.x
-    y = grid.y
-    for n in range(grid.nx):
-        field[n, :grid.ny] = evaluate(sol, x[n], y)
-        field[n, grid.ny:] = d_dx(sol, x[n], y)
-    return field
+    x = grid.x[:, None]
+    y = grid.y[None, :]
+    return np.concatenate([evaluate(sol, x, y), d_dx(sol, x, y)], axis=1)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from cauchy_observer import (StateVector, assemble, build_grid, fictitious_point,
-                             neumann_example, sample_state_field, step_line)
-from cauchy_observer.discrete_ops import forcing_vector, step_stacked
+from cauchy_observer import (assemble, build_grid, fictitious_point,
+                             neumann_example, sample_state_field, sweep_form)
 from cauchy_observer.reference import make_cauchy_data
 
 A, B = 2 * np.pi, 0.5
@@ -11,6 +10,12 @@ A, B = 2 * np.pi, 0.5
 
 def second_difference_of(mats):
     return -mats.A_d[mats.ny:, :mats.ny]
+
+
+def one_step(state, mats, k, f_meas, g_meas):
+    """One marching step through the sweep's affine form."""
+    M, U = sweep_form(mats, k, np.full(2, f_meas), np.full(2, g_meas))
+    return M @ state + U[0]
 
 
 class TestAssemble:
@@ -49,8 +54,8 @@ class TestAssemble:
         g = build_grid(1.0, 0.5, 5, 4)
         mats = assemble(g)
         rng = np.random.default_rng(0)
-        state = StateVector(rng.standard_normal(4), rng.standard_normal(4))
-        assert mats.C_row @ state.stacked() == state.xi1[-1]
+        state = rng.standard_normal(8)
+        assert mats.C_row @ state == state[3]
 
     def test_unknown_closure_rejected(self):
         g = build_grid(1.0, 0.5, 5, 4)
@@ -92,28 +97,27 @@ class TestStepLine:
         g = build_grid(1.0, 0.5, 5, 3)
         mats = assemble(g)
         k = np.zeros(6); k[2] = 1.0     # unit injection at the top u node
-        state = StateVector(np.zeros(3), np.zeros(3))
-        out = step_line(state, mats, k, f_meas=1.0, g_meas=0.0)
-        assert np.allclose(out.stacked(), k)
+        out = one_step(np.zeros(6), mats, k, f_meas=1.0, g_meas=0.0)
+        assert np.allclose(out, k)
 
     def test_zero_innovation_is_pure_march(self):
         g = build_grid(1.0, 0.5, 7, 5)
         mats = assemble(g)
         rng = np.random.default_rng(1)
-        state = StateVector(rng.standard_normal(5), rng.standard_normal(5))
+        state = rng.standard_normal(10)
         k = rng.standard_normal(10)
-        f = state.xi1[-1]               # measurement equals the top value
-        gained = step_line(state, mats, k, f, 0.3)
-        plain = step_line(state, mats, np.zeros(10), f, 0.3)
-        assert np.allclose(gained.stacked(), plain.stacked(), atol=1e-14)
+        f = state[4]                    # measurement equals the top value
+        gained = one_step(state, mats, k, f, 0.3)
+        plain = one_step(state, mats, np.zeros(10), f, 0.3)
+        assert np.allclose(gained, plain, atol=1e-14)
 
     def test_linear_profile_first_block(self):
         # u = y: du/dx = 0, so the u samples must not move
         g = build_grid(1.0, 0.5, 7, 5)
         mats = assemble(g)
-        state = StateVector(g.y.copy(), np.zeros(5))
-        out = step_line(state, mats, np.zeros(10), f_meas=0.0, g_meas=0.0)
-        assert np.allclose(out.xi1, state.xi1 + g.dx * state.xi2, atol=1e-15)
+        state = np.concatenate([g.y, np.zeros(5)])
+        out = one_step(state, mats, np.zeros(10), f_meas=0.0, g_meas=0.0)
+        assert np.allclose(out[:5], state[:5] + g.dx * state[5:], atol=1e-15)
 
     def test_linearity(self):
         g = build_grid(1.0, 0.5, 7, 4)
@@ -124,38 +128,38 @@ class TestStepLine:
         f1, f2 = rng.standard_normal(2)
         g1, g2 = rng.standard_normal(2)
         al, be = 0.7, -1.3
-        combo = step_stacked(al * s1 + be * s2, mats, k,
-                             al * f1 + be * f2, al * g1 + be * g2)
-        parts = al * step_stacked(s1, mats, k, f1, g1) \
-            + be * step_stacked(s2, mats, k, f2, g2)
+        combo = one_step(al * s1 + be * s2, mats, k,
+                         al * f1 + be * f2, al * g1 + be * g2)
+        parts = al * one_step(s1, mats, k, f1, g1) \
+            + be * one_step(s2, mats, k, f2, g2)
         assert np.allclose(combo, parts, rtol=1e-12, atol=1e-12)
 
-    def test_accepts_gain_vector_wrapper(self):
-        from cauchy_observer import ackermann_gain, uniform_poles
-        g = build_grid(A, B, 65, 3)
-        mats = assemble(g)
-        gv = ackermann_gain(mats.F, mats.C_row, uniform_poles(6, 0.3, 0.8))
-        rng = np.random.default_rng(5)
-        state = StateVector(rng.standard_normal(3), rng.standard_normal(3))
-        via_wrapper = step_line(state, mats, gv, 0.2, 0.1)
-        via_array = step_line(state, mats, gv.k, 0.2, 0.1)
-        assert np.array_equal(via_wrapper.stacked(), via_array.stacked())
+    def test_folded_ghost_step_matches_fictitious_point(self):
+        # the ghost closure folded into (M, U) is the centered bottom row
+        # closed by the fictitious node, with its value moved to the forcing
+        g = build_grid(1.0, 0.5, 5, 5)
+        ny = g.ny
+        mats = assemble(g, bottom_closure="ghost")
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            k = rng.standard_normal(2 * ny)
+            s = rng.standard_normal(2 * ny)
+            prev = rng.standard_normal((2, 2 * ny))
+            f_meas, g_meas = rng.standard_normal(2)
+            M, U = sweep_form(mats, k, np.full(2, f_meas), np.full(2, g_meas),
+                              prev_field=prev)
+            ghost = fictitious_point(s[0], s[1], prev[1, ny], s[ny], g.dy, g.dx)
+            b = np.zeros(2 * ny)
+            b[ny] = -ghost / g.dy ** 2
+            b[-1] = -2.0 * g_meas / g.dy
+            expect = mats.F @ s - k * (s[ny - 1] - f_meas) + g.dx * b
+            assert np.allclose(M @ s + U[0], expect, rtol=1e-12, atol=1e-12)
 
-    def test_dimension_mismatch_rejected(self):
-        g = build_grid(1.0, 0.5, 7, 4)
-        mats = assemble(g)
-        with pytest.raises(ValueError):
-            step_line(StateVector(np.zeros(3), np.zeros(3)), mats,
-                      np.zeros(8), 0.0, 0.0)
-
-    def test_ghost_forcing_row(self):
+    def test_ghost_needs_previous_field(self):
         g = build_grid(1.0, 0.5, 5, 5)
         mats = assemble(g, bottom_closure="ghost")
-        b = forcing_vector(mats, g_meas=0.25, ghost=0.5)
-        inv = 1.0 / g.dy ** 2
-        assert b[g.ny] == pytest.approx(-0.5 * inv)
-        assert b[-1] == pytest.approx(-2 * 0.25 / g.dy)
-        assert np.count_nonzero(b) == 2
+        with pytest.raises(ValueError):
+            sweep_form(mats, np.zeros(10), np.zeros(5), np.zeros(5))
 
 
 def _defect_rate(nx, ny):
@@ -165,12 +169,9 @@ def _defect_rate(nx, ny):
     sol = neumann_example(A, B)
     data = make_cauchy_data(sol, grid)
     field = sample_state_field(sol, grid)
-    worst = 0.0
-    for n in range(grid.nx - 1):
-        stepped = step_stacked(field[n], mats, np.zeros(2 * grid.ny),
-                               data.f[n], data.g[n])
-        worst = max(worst, np.abs(stepped - field[n + 1]).max())
-    return worst / grid.dx
+    M, U = sweep_form(mats, np.zeros(2 * grid.ny), data.f, data.g)
+    stepped = field[:-1] @ M.T + U
+    return np.abs(stepped - field[1:]).max() / grid.dx
 
 
 class TestMarchOrder:

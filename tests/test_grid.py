@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cauchy_observer import build_grid, x_nodes, y_nodes
+from cauchy_observer import build_grid
 
 
 def test_standard_domain_spacing():
@@ -29,8 +29,8 @@ def test_rejects_bad_arguments(kwargs):
 
 def test_node_coordinates():
     g = build_grid(1.0, 0.5, 3, 3)
-    assert np.allclose(x_nodes(g), [0.0, 0.5, 1.0])
-    assert np.allclose(y_nodes(g), [0.0, 0.25, 0.5])
+    assert np.allclose(g.x, [0.0, 0.5, 1.0])
+    assert np.allclose(g.y, [0.0, 0.25, 0.5])
 
 
 def test_spacing_times_count_recovers_extent():
@@ -41,16 +41,16 @@ def test_spacing_times_count_recovers_extent():
 
 def test_endpoints_exact():
     g = build_grid(2 * np.pi, 0.37, 17, 11)
-    assert x_nodes(g)[0] == 0.0
-    assert x_nodes(g)[-1] == g.a
-    assert y_nodes(g)[0] == 0.0
-    assert y_nodes(g)[-1] == g.b
+    assert g.x[0] == 0.0
+    assert g.x[-1] == g.a
+    assert g.y[0] == 0.0
+    assert g.y[-1] == g.b
 
 
 @pytest.mark.parametrize("nx,ny", [(3, 3), (7, 4), (65, 9), (33, 12)])
 def test_uniform_strictly_increasing(nx, ny):
     g = build_grid(3.7, 1.9, nx, ny)
-    for nodes, h in ((x_nodes(g), g.dx), (y_nodes(g), g.dy)):
+    for nodes, h in ((g.x, g.dx), (g.y, g.dy)):
         steps = np.diff(nodes)
         assert (steps > 0).all()
         assert np.allclose(steps, h, rtol=1e-12)

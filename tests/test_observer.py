@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from cauchy_observer import (CauchyData, NonFiniteState, ObserverConfig,
+from cauchy_observer import (CauchyData, GainVector, NonFiniteState, ObserverConfig,
                              ObserverProblem, ackermann_gain, assemble,
                              build_grid, error_bottom, make_cauchy_data,
                              march_sweep, neumann_example, ring_poles, run,
@@ -133,8 +135,30 @@ class TestRun:
         gain = tuned_injection_gain(mats.F, mats.C_row, np.geomspace(0.01, 10, 21))
         data = make_cauchy_data(neumann_example(A, B), grid)
         problem = ObserverProblem(grid, data, mats, gain)
-        with pytest.raises(NonFiniteState):
+        with pytest.raises(NonFiniteState) as excinfo:
             run(problem, ObserverConfig(allow_uncertified_gain=True))
+        # per-step reference march of the first sweep from the zero guess
+        ny, k, guard = grid.ny, gain.k, 1e12
+        s = np.zeros(2 * ny)
+        first_out = None
+        for n in range(grid.nx - 1):
+            b = np.zeros(2 * ny)
+            b[-1] = -2.0 * data.g[n] / grid.dy
+            s = mats.F @ s - k * (s[ny - 1] - data.f[n]) + grid.dx * b
+            if not (np.abs(s) <= guard).all():
+                first_out = n + 1
+                break
+        assert first_out is not None
+        named = int(re.search(r"sweep step (\d+)", str(excinfo.value)).group(1))
+        assert named == first_out
+
+    def test_gain_length_validated(self):
+        grid, mats, gain, _, data = standard_problem()
+        short = GainVector(k=gain.k[:-1], method=gain.method,
+                           spectral_radius=gain.spectral_radius,
+                           stable=gain.stable)
+        with pytest.raises(ValueError):
+            ObserverProblem(grid, data, mats, short)
 
     def test_ghost_closure_diverges_on_standard_grid(self):
         # the per-step ghost feedback rewrites the bottom du/dx row of the

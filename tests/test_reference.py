@@ -3,8 +3,8 @@ import pytest
 
 from cauchy_observer import (TrigTerm, bottom_trace, build_grid, combo_example,
                              dirichlet_example, evaluate, make_cauchy_data,
-                             neumann_example)
-from cauchy_observer.reference import d_dy
+                             neumann_example, sample_state_field)
+from cauchy_observer.reference import d_dx, d_dy
 
 A, B = 2 * np.pi, 0.5
 
@@ -70,6 +70,19 @@ def test_bottom_trace_combo():
     x = grid.x
     expect = 0.5 * np.cos(2 * x) + 0.25 * np.sin(4 * x)
     assert np.allclose(bottom_trace(combo, grid), expect, rtol=1e-14, atol=1e-14)
+
+
+def test_state_field_matches_pointwise_samples():
+    combo = combo_example([TrigTerm(1, 0.5, "cos"), TrigTerm(2, 0.25, "sin")], A, B)
+    grid = build_grid(A, B, 9, 4)
+    field = sample_state_field(combo, grid)
+    assert field.shape == (grid.nx, 2 * grid.ny)
+    for n, x in enumerate(grid.x):
+        for j, y in enumerate(grid.y):
+            assert field[n, j] == pytest.approx(evaluate(combo, x, y),
+                                                rel=1e-14, abs=1e-14)
+            assert field[n, grid.ny + j] == pytest.approx(d_dx(combo, x, y),
+                                                          rel=1e-14, abs=1e-14)
 
 
 def _five_point_laplacian_max(sol, nx, ny):
