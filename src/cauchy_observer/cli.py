@@ -145,18 +145,29 @@ def _reference_for(cfg: RunConfig) -> ReferenceSolution:
     raise ConfigError(f"unknown example {cfg.example!r}")
 
 
-def _format(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".17g")
+def _spec(kind) -> str:
+    """Printf spec for one CSV field: integers as integers, text verbatim,
+    anything else as a float to 17 significant digits (round-trip exact)."""
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    if issubclass(kind, str):
+        return "%s"
+    return "%.17g"
 
 
 def write_csv(path: Path, header: List[str], rows) -> None:
+    """Write one CSV table, each row by a single %-format built from the
+    types of its fields.  Numeric tables format fastest as Python floats, so
+    callers pass ``ndarray.tolist()`` rather than rows of numpy scalars."""
+    formats = {}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_format(v) for v in row))
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join([_spec(k) for k in kinds])
+        lines.append(fmt % row)
     path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
@@ -217,10 +228,10 @@ def cmd_solve(cfg: RunConfig) -> int:
               ["method", "pole_min", "pole_max", "spectral_radius",
                "obs_matrix_condition"],
               [[gain.method,
-                "" if gain.pole_min is None else _format(gain.pole_min),
-                "" if gain.pole_max is None else _format(gain.pole_max),
-                _format(gain.spectral_radius),
-                "" if gain.obs_condition is None else _format(gain.obs_condition)]])
+                "" if gain.pole_min is None else gain.pole_min,
+                "" if gain.pole_max is None else gain.pole_max,
+                gain.spectral_radius,
+                "" if gain.obs_condition is None else gain.obs_condition]])
 
     problem = ObserverProblem(grid=grid, cauchy=cauchy, mats=mats, gain=gain)
     config = ObserverConfig(max_sweeps=cfg.max_sweeps,
@@ -238,7 +249,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     exact = bottom_trace(sol, grid)
     write_csv(out / "boundary.csv",
               ["x", "exact_bottom", "estimated_bottom"],
-              zip(grid.x, exact, field[:, 0]))
+              np.column_stack((grid.x, exact, field[:, 0])).tolist())
     rows = []
     for i, res in enumerate(report.top_residuals, 1):
         bot = report.bottom_errors[i - 1] if report.bottom_errors else ""
@@ -268,27 +279,20 @@ def cmd_diagnose(cfg: RunConfig) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     G = spectral.gram_matrix(modes)
-    eye = np.eye(len(G))
-    rows = []
-    all_ok = True
-    for i, n in enumerate(modes.indices):
-        mode = spectral.EigenMode(n)
-        gram_err = float(np.abs(G[i] - eye[i]).max())
-        resid = spectral.eigen_residual(mode, cfg.quadrature)
-        rows.append([n, mode.lam, mode.rho, gram_err, resid])
-        if gram_err > 1e-6:
-            all_ok = False
+    gram_err = np.abs(G - np.eye(len(G))).max(axis=1)
+    resid = spectral.eigen_residual(modes)
+    rows = [[m.n, m.lam, m.rho, err, res] for m, err, res
+            in zip(modes.modes(), gram_err.tolist(), resid.tolist())]
+    all_ok = not (gram_err > 1e-6).any()
     write_csv(out / "spectral.csv",
               ["n", "lambda", "rho", "gram_err", "eigen_residual"], rows)
 
     xs = (0.0, 0.1, 0.5)
-    obs_rows = []
-    for x in xs:
-        bound = spectral.observability_lower_bound(modes, x)
-        obs_rows.append([x, bound])
-        if not (bound > 0.0):
-            all_ok = False
-    write_csv(out / "observability.csv", ["x", "lower_bound"], obs_rows)
+    bounds = spectral.observability_lower_bound(modes, xs)
+    if not (bounds > 0.0).all():
+        all_ok = False
+    write_csv(out / "observability.csv", ["x", "lower_bound"],
+              zip(xs, bounds.tolist()))
     print(f"diagnostics written to {out.resolve()}")
     return EXIT_OK if all_ok else EXIT_RUNTIME
 

@@ -103,36 +103,6 @@ def spectral_radius(M: np.ndarray) -> float:
         raise np.linalg.LinAlgError(f"eigensolve failed: {exc}") from exc
 
 
-def power_iteration_radius(M: np.ndarray, tol: float = 1e-10,
-                           max_iter: int = 100000, seed: int = 0) -> float:
-    """Spectral radius estimate by power iteration; validation fallback.
-
-    Uses the squared matrix so sign flips do not stall the iterate, and the
-    geometric mean of two consecutive growth factors so a dominant complex
-    pair (whose per-step growth oscillates in a 2-cycle) still converges.
-    """
-    M = np.asarray(M, dtype=float)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    M2 = M @ M
-    est = 0.0
-    prev_growth = None
-    for _ in range(max_iter):
-        w = M2 @ v
-        growth = np.linalg.norm(w)
-        if growth == 0.0:
-            return 0.0
-        v = w / growth
-        if prev_growth is not None:
-            new = (prev_growth * growth) ** 0.25
-            if abs(new - est) <= tol * max(1.0, new):
-                return float(new)
-            est = new
-        prev_growth = growth
-    raise np.linalg.LinAlgError("power iteration did not converge")
-
-
 def _real_poly_from_poles(poles: np.ndarray, dtype) -> np.ndarray:
     """Monic polynomial coefficients (highest first) from a conjugate-closed set."""
     coeffs = np.array([dtype(1.0)])

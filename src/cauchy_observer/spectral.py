@@ -4,7 +4,8 @@ The analysis interval is [0, pi/4].  The mode family
 
     phi_n(s) = c1 * cos(lam_n * s),   lam_n = 6 - 8n,  c1 = -sqrt(8/pi)
 
-is L2-orthonormal on that interval, and the paired vectors
+is L2-orthonormal on that interval (c1 is ``MODE_AMPLITUDE``), and the
+paired vectors
 
     Phi_n = rho_n * (phi_n, lam_n * phi_n),   rho_n = 1 / (sqrt(2) * lam_n)
 
@@ -16,6 +17,14 @@ On uniform quadrature nodes the composite trapezoid rule integrates every
 product of two family members exactly (all frequencies complete a whole
 number of half periods), so the discrete Gram matrix is the identity to
 round-off when the first-component derivatives are supplied analytically.
+
+Each public diagnostic samples the mode family once per call, as whole
+(modes x nodes) arrays of the first components and their analytic
+derivatives, and computes on those arrays: the Gram matrix is two matrix
+products, the propagator two matrix-vector products for the coefficients and
+three for the output.  Nothing is cached between calls.  The observability
+lower bound is sum_n (exp(lam_n x) * G_nn)^2 with G_nn the Gram diagonal,
+which equals sum_n exp(2 lam_n x) to round-off.
 
 Modes with lam_n > 0 grow under the propagator; no clamping is applied, the
 growth is inherent to the continuation problem and should stay visible in
@@ -43,15 +52,11 @@ def mode_frequency(n: int) -> float:
 class EigenMode:
     n: int
     lam: float = field(init=False)
-    alpha: float = field(init=False, default=1.0)
-    beta: float = field(init=False)
     rho: float = field(init=False)
-    c1: float = field(init=False, default=MODE_AMPLITUDE)
 
     def __post_init__(self):
         lam = mode_frequency(self.n)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "beta", lam)
         object.__setattr__(self, "rho", 1.0 / (np.sqrt(2.0) * lam))
 
 
@@ -118,18 +123,38 @@ def quadrature_nodes(quadrature: int) -> np.ndarray:
 
 def eval_mode(mode: EigenMode, y: float):
     """Value of the paired mode at a point, (first, second) component."""
-    v1 = mode.rho * mode.alpha * mode.c1 * np.cos(mode.lam * y)
-    v2 = mode.beta * v1
+    v1 = mode.rho * MODE_AMPLITUDE * np.cos(mode.lam * y)
+    v2 = mode.lam * v1
     return v1, v2
 
 
 def sample_mode(mode: EigenMode, quadrature: int) -> FunctionPair:
     """Sample a mode on the quadrature nodes, with analytic derivative."""
     s = quadrature_nodes(quadrature)
-    p1 = mode.rho * mode.alpha * mode.c1 * np.cos(mode.lam * s)
-    p2 = mode.beta * p1
-    dp1 = -mode.rho * mode.alpha * mode.c1 * mode.lam * np.sin(mode.lam * s)
+    p1 = mode.rho * MODE_AMPLITUDE * np.cos(mode.lam * s)
+    p2 = mode.lam * p1
+    dp1 = -mode.rho * MODE_AMPLITUDE * mode.lam * np.sin(mode.lam * s)
     return FunctionPair(p1=p1, p2=p2, dp1=dp1)
+
+
+def _sample_rows(modes: ModeSet, derivative: bool = True):
+    """Sample the whole mode set on its quadrature nodes.
+
+    Returns ``lam`` (one rate per mode), the ``p1`` rows (modes x nodes,
+    bit-identical to ``sample_mode``) and, if ``derivative``, the analytic
+    ``dp1`` rows, else None.  The second components are ``lam * p1`` and are
+    never stored.
+    """
+    lam = mode_frequency(np.array(modes.indices, dtype=float))
+    rho = 1.0 / (np.sqrt(2.0) * lam)
+    phase = np.multiply.outer(lam, quadrature_nodes(modes.quadrature))
+    p1 = np.cos(phase)
+    p1 *= (rho * MODE_AMPLITUDE)[:, None]
+    if not derivative:
+        return lam, p1, None
+    dp1 = np.sin(phase, out=phase)
+    dp1 *= (-rho * MODE_AMPLITUDE * lam)[:, None]
+    return lam, p1, dp1
 
 
 def zero_pair(quadrature: int) -> FunctionPair:
@@ -137,8 +162,11 @@ def zero_pair(quadrature: int) -> FunctionPair:
     return FunctionPair(p1=z, p2=z.copy(), dp1=z.copy())
 
 
-def _trapezoid(values: np.ndarray, h: float) -> float:
-    return h * (values.sum() - 0.5 * (values[0] + values[-1]))
+def _trapezoid_weights(nodes: int) -> np.ndarray:
+    """Composite trapezoid weights on the uniform nodes of [0, pi/4]."""
+    w = np.full(nodes, ANALYSIS_LENGTH / (nodes - 1))
+    w[[0, -1]] *= 0.5
+    return w
 
 
 def _derivative(p: FunctionPair, h: float) -> np.ndarray:
@@ -161,43 +189,40 @@ def inner_product(p: FunctionPair, q: FunctionPair) -> float:
     if p.nodes != q.nodes:
         raise ValueError(f"mismatched sampling: {p.nodes} vs {q.nodes} nodes")
     h = ANALYSIS_LENGTH / (p.nodes - 1)
-    dp = _derivative(p, h)
-    dq = _derivative(q, h)
-    return _trapezoid(dp * dq, h) + _trapezoid(p.p2 * q.p2, h)
+    w = _trapezoid_weights(p.nodes)
+    return w @ (_derivative(p, h) * _derivative(q, h)) + w @ (p.p2 * q.p2)
 
 
 def gram_matrix(modes: ModeSet) -> np.ndarray:
-    """Pairwise inner products of the normalized mode pairs."""
-    pairs = [sample_mode(m, modes.quadrature) for m in modes.modes()]
-    k = len(pairs)
-    G = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            G[i, j] = G[j, i] = inner_product(pairs[i], pairs[j])
-    return G
+    """Pairwise inner products of the normalized mode pairs.
+
+    With every row scaled by the square root of the trapezoid weights the
+    pairing is ``dP1 dP1^T + (lam lam^T) * (P1 P1^T)``.
+    """
+    lam, p1, dp1 = _sample_rows(modes)
+    root_w = np.sqrt(_trapezoid_weights(modes.quadrature))
+    p1 *= root_w
+    dp1 *= root_w
+    return dp1 @ dp1.T + np.outer(lam, lam) * (p1 @ p1.T)
 
 
 def semigroup_apply(f: FunctionPair, x: float, modes: ModeSet) -> FunctionPair:
     """Truncated propagator: sum of exp(lam_n x) times the mode projections.
 
     At x = 0 this is the orthogonal projection onto the span of the mode
-    set.  The output carries analytic derivative samples so compositions
-    stay exact up to round-off.
+    set.  The projections use ``f.dp1`` when present and centered
+    differences otherwise, as ``inner_product`` does.  The output carries
+    analytic derivative samples so compositions stay exact up to round-off.
     """
     if x < 0.0:
         raise ValueError("propagation distance must be nonnegative")
     if f.nodes != modes.quadrature:
         raise ValueError("pair and mode set use different quadrature nodes")
-    out1 = np.zeros(f.nodes)
-    out2 = np.zeros(f.nodes)
-    outd = np.zeros(f.nodes)
-    for m in modes.modes():
-        basis = sample_mode(m, modes.quadrature)
-        c = np.exp(m.lam * x) * inner_product(f, basis)
-        out1 += c * basis.p1
-        out2 += c * basis.p2
-        outd += c * basis.dp1
-    return FunctionPair(p1=out1, p2=out2, dp1=outd)
+    lam, p1, dp1 = _sample_rows(modes)
+    w = _trapezoid_weights(f.nodes)
+    df = _derivative(f, ANALYSIS_LENGTH / (f.nodes - 1))
+    c = np.exp(lam * x) * (dp1 @ (w * df) + lam * (p1 @ (w * f.p2)))
+    return FunctionPair(p1=c @ p1, p2=(c * lam) @ p1, dp1=c @ dp1)
 
 
 def observation(f: FunctionPair) -> float:
@@ -205,37 +230,47 @@ def observation(f: FunctionPair) -> float:
     return float(f.p1[0])
 
 
-def observability_lower_bound(modes: ModeSet, x: float) -> float:
-    """Sum over the mode set of (exp(lam_n x) * rho_n^2 * |phi_n|^2)^2.
+def observability_lower_bound(modes: ModeSet, x):
+    """Sum over the mode set of (exp(lam_n x) * G_nn)^2.
 
-    |phi_n| is the energy norm of the unnormalized pair; each summand is
-    strictly positive, so the bound is positive and grows monotonically as
-    modes are added.
+    G_nn = <Phi_n, Phi_n> = rho_n^2 |phi_n|^2, with |phi_n| the energy norm
+    of the unnormalized pair, so the bound equals sum_n exp(2 lam_n x) to
+    round-off.  Each summand is strictly positive, so the bound is positive
+    and grows monotonically as modes are added.  ``x`` is a distance or an
+    array of distances; a scalar gives a float, an array one bound per entry.
     """
-    if x < 0.0:
+    x = np.asarray(x, dtype=float)
+    if (x < 0.0).any():
         raise ValueError("x must be nonnegative")
-    total = 0.0
-    for m in modes.modes():
-        scaled = sample_mode(m, modes.quadrature)
-        # unnormalized pair (phi, lam*phi): energy norm^2 = <Phi,Phi> / rho^2
-        norm2 = inner_product(scaled, scaled) / (m.rho * m.rho)
-        total += (np.exp(m.lam * x) * m.rho * m.rho * norm2) ** 2
-    return total
+    lam, p1, dp1 = _sample_rows(modes)
+    w = _trapezoid_weights(modes.quadrature)
+    p1 *= p1
+    dp1 *= dp1
+    diag = dp1 @ w + lam * lam * (p1 @ w)
+    total = np.square(np.exp(np.multiply.outer(x, lam)) * diag).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
-def eigen_residual(mode: EigenMode, quadrature: int) -> float:
-    """Sup norm of the discrete eigen-relation defect over interior nodes.
+def eigen_residual(modes: ModeSet) -> np.ndarray:
+    """Sup norm of the discrete eigen-relation defect over interior nodes,
+    one entry per mode of the set.
 
     The operator applies a centered second difference to the first
-    component; the first row of the relation is zero by construction, so the
-    residual is the second-row defect, which shrinks at second order in the
-    node spacing.
+    component; the first row of the relation (p2 = lam * p1) is zero by
+    construction, so the residual is the second-row defect
+    ``-D2 p1 - lam * p2``, which shrinks at second order in the node spacing.
     """
-    if quadrature < 5:
-        raise ValueError("quadrature needs at least 5 nodes")
-    pair = sample_mode(mode, quadrature)
-    h = ANALYSIS_LENGTH / (quadrature - 1)
-    d2 = (pair.p1[2:] - 2.0 * pair.p1[1:-1] + pair.p1[:-2]) / (h * h)
-    row2 = -d2 - mode.lam * pair.p2[1:-1]
-    row1 = pair.p2 - mode.lam * mode.alpha * pair.p1
-    return float(max(np.abs(row2).max(), np.abs(row1).max()))
+    lam, p1, _ = _sample_rows(modes, derivative=False)
+    h = ANALYSIS_LENGTH / (modes.quadrature - 1)
+    # -(p1[2:] - 2 p1[1:-1] + p1[:-2]) / h^2 - lam * (lam * p1[1:-1]), built
+    # in place with the rounding of the one-mode formula, so each residual is
+    # bit-identical to sampling that mode alone
+    row2 = p1[:, 1:-1] * -2.0
+    row2 += p1[:, 2:]
+    row2 += p1[:, :-2]
+    row2 /= -h * h
+    inner = p1[:, 1:-1]
+    inner *= lam[:, None]
+    inner *= lam[:, None]
+    row2 -= inner
+    return np.abs(row2, out=row2).max(axis=1)

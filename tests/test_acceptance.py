@@ -275,8 +275,8 @@ def test_criterion_7_spectral_suite():
     G = gram_matrix(ModeSet(tuple(range(-8, 9)), 2001))
     gram_err = np.abs(G - np.eye(len(G))).max()
 
-    res_c = eigen_residual(EigenMode(0), 101)
-    res_f = eigen_residual(EigenMode(0), 201)
+    res_c = eigen_residual(ModeSet((0,), 101))[0]
+    res_f = eigen_residual(ModeSet((0,), 201))[0]
     order = np.log2(res_c / res_f)
 
     ms = default_mode_set()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cauchy_observer.cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE,
-                                 main, parse_config)
+                                 main, parse_config, write_csv)
 
 BASE_CONFIG = """\
 # boundary recovery, single cosine data
@@ -43,6 +43,31 @@ class TestConfigParsing:
     def test_comments_and_blank_lines(self, tmp_path):
         path = write_config(tmp_path, "# hi\n\nnx = 33  # trailing\n")
         assert parse_config(path, []).nx == 33
+
+
+def per_value_format(value) -> str:
+    """Reference CSV field formatting, one value at a time."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return value
+    return format(float(value), ".17g")
+
+
+class TestWriteCsv:
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        x = np.linspace(-1.0, 1.0, 7)
+        rows = [[1, np.float64(0.1), -0.0, "", 1e-300],
+                [2, float("inf"), np.float64(-1.5e-7), "text", np.int64(7)],
+                [3, 1.0 / 3.0, -float("inf"), float("nan"), True],
+                [4, "", "", 5e-324, 2 ** 70]]
+        rows += np.random.default_rng(0).standard_normal((20, 5)).tolist()
+        rows += list(zip(range(5, 12), x, x ** 3, np.exp(x), -x))
+        header = ["a", "b", "c", "d", "e"]
+        write_csv(tmp_path / "t.csv", header, rows)
+        want = "\n".join([",".join(header)] + [
+            ",".join(per_value_format(v) for v in row) for row in rows]) + "\n"
+        assert (tmp_path / "t.csv").read_bytes() == want.encode("ascii")
 
 
 class TestSolve:

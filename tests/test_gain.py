@@ -3,9 +3,8 @@ import pytest
 
 from cauchy_observer import (ObservabilityDeficient, PlacementFailed, PoleSpec,
                              ackermann_gain, assemble, build_grid,
-                             observability_matrix, power_iteration_radius,
-                             ring_poles, spectral_radius, tuned_injection_gain,
-                             uniform_poles)
+                             observability_matrix, ring_poles, spectral_radius,
+                             tuned_injection_gain, uniform_poles)
 
 A, B = 2 * np.pi, 0.5
 
@@ -40,25 +39,6 @@ class TestSpectralRadius:
 
     def test_diagonal(self):
         assert spectral_radius(np.diag([0.9, -0.3])) == pytest.approx(0.9)
-
-    @pytest.mark.parametrize("seed", [0, 4, 7])
-    def test_power_iteration_agrees(self, seed):
-        rng = np.random.default_rng(seed)
-        M = rng.standard_normal((8, 8))
-        assert power_iteration_radius(M) == pytest.approx(spectral_radius(M),
-                                                          rel=1e-8)
-
-    def test_power_iteration_complex_dominant_pair(self):
-        th = 0.7
-        rot = 0.9 * np.array([[np.cos(th), -np.sin(th)],
-                              [np.sin(th), np.cos(th)]])
-        M = np.zeros((4, 4))
-        M[:2, :2] = rot
-        M[2, 2], M[3, 3] = 0.3, -0.5
-        assert power_iteration_radius(M) == pytest.approx(0.9, rel=1e-8)
-
-    def test_power_iteration_zero_matrix(self):
-        assert power_iteration_radius(np.zeros((3, 3))) == 0.0
 
 
 class TestPoleSpec:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cauchy_observer.spectral import (ANALYSIS_LENGTH, EigenMode, FunctionPair,
-                                      ModeSet, default_mode_set, eigen_residual,
+from cauchy_observer.spectral import (ANALYSIS_LENGTH, MODE_AMPLITUDE,
+                                      EigenMode, FunctionPair, ModeSet,
+                                      default_mode_set, eigen_residual,
                                       eval_mode, gram_matrix, inner_product,
                                       observability_lower_bound, observation,
                                       sample_mode, semigroup_apply, zero_pair)
@@ -29,7 +30,7 @@ class TestModeFamily:
     def test_normalization_identity(self):
         for n in (-3, 0, 1, 7):
             m = EigenMode(n)
-            assert m.rho * m.beta == pytest.approx(1 / np.sqrt(2), rel=1e-15)
+            assert m.rho * m.lam == pytest.approx(1 / np.sqrt(2), rel=1e-15)
 
     def test_value_at_origin_mode0(self):
         v1, v2 = eval_mode(EigenMode(0), 0.0)
@@ -159,15 +160,15 @@ class TestObservabilityBound:
 
 class TestEigenResidual:
     def test_magnitude_mode0(self):
-        res = eigen_residual(EigenMode(0), 101)
+        res = eigen_residual(ModeSet((0,), 101))[0]
         h = ANALYSIS_LENGTH / 100
         m = EigenMode(0)
-        bound = abs(m.lam) ** 3 * h * h * abs(m.c1 * m.rho)
+        bound = abs(m.lam) ** 3 * h * h * abs(MODE_AMPLITUDE * m.rho)
         assert 0.0 < res <= bound
 
     def test_second_order_refinement(self):
-        coarse = eigen_residual(EigenMode(0), 101)
-        fine = eigen_residual(EigenMode(0), 201)
+        coarse = eigen_residual(ModeSet((0,), 101))[0]
+        fine = eigen_residual(ModeSet((0,), 201))[0]
         assert fine < coarse
         assert coarse / fine == pytest.approx(4.0, rel=0.1)
 
@@ -192,4 +193,78 @@ class TestValidation:
         with pytest.raises(ValueError):
             ModeSet((0,), 4)
         with pytest.raises(ValueError):
-            eigen_residual(EigenMode(0), 3)
+            eigen_residual(ModeSet((0,), 3))[0]
+
+
+# Per-mode references built from sample_mode and inner_product: the
+# whole-array diagnostics must agree with them on every mode set below.
+REFERENCE_SETS = [ModeSet(tuple(range(lo, hi + 1)), q)
+                  for lo, hi in ((-4, 8), (-6, 6), (-2, 10), (-5, 9))
+                  for q in (1001, 4001)]
+REFERENCE_IDS = [f"{ms.indices[0]}..{ms.indices[-1]}-q{ms.quadrature}"
+                 for ms in REFERENCE_SETS]
+reference_sets = pytest.mark.parametrize("ms", REFERENCE_SETS,
+                                         ids=REFERENCE_IDS)
+
+
+def per_mode_gram(ms):
+    pairs = [sample_mode(m, ms.quadrature) for m in ms.modes()]
+    return np.array([[inner_product(a, b) for b in pairs] for a in pairs])
+
+
+def per_mode_propagate(f, x, ms):
+    out = [np.zeros(f.nodes) for _ in range(3)]
+    for m in ms.modes():
+        basis = sample_mode(m, ms.quadrature)
+        c = np.exp(m.lam * x) * inner_product(f, basis)
+        for acc, comp in zip(out, (basis.p1, basis.p2, basis.dp1)):
+            acc += c * comp
+    return out
+
+
+def per_mode_eigen_residual(mode, quadrature):
+    pair = sample_mode(mode, quadrature)
+    h = ANALYSIS_LENGTH / (quadrature - 1)
+    d2 = (pair.p1[2:] - 2.0 * pair.p1[1:-1] + pair.p1[:-2]) / (h * h)
+    return np.abs(-d2 - mode.lam * pair.p2[1:-1]).max()
+
+
+class TestAgainstPerModeReference:
+    @reference_sets
+    def test_gram_matrix(self, ms):
+        assert np.abs(gram_matrix(ms) - per_mode_gram(ms)).max() <= 1e-14
+
+    @reference_sets
+    @pytest.mark.parametrize("analytic_derivative", [True, False])
+    def test_semigroup_apply(self, ms, analytic_derivative):
+        rng = np.random.default_rng(ms.quadrature + len(ms.indices))
+        p1, p2, d1 = rng.standard_normal((3, ms.quadrature))
+        f = FunctionPair(p1, p2, d1 if analytic_derivative else None)
+        for x in (0.0, 0.13):
+            out = semigroup_apply(f, x, ms)
+            for got, want in zip((out.p1, out.p2, out.dp1),
+                                 per_mode_propagate(f, x, ms)):
+                assert (np.abs(got - want).max()
+                        <= 1e-12 * np.abs(want).max())
+
+    @reference_sets
+    def test_eigen_residual_bit_identical(self, ms):
+        want = [per_mode_eigen_residual(m, ms.quadrature) for m in ms.modes()]
+        assert np.array_equal(eigen_residual(ms), want)
+
+    @reference_sets
+    def test_observability_bound(self, ms):
+        xs = np.array([0.0, 0.05, 0.1, 0.5])
+        bounds = observability_lower_bound(ms, xs)
+        assert np.array_equal(
+            bounds, [observability_lower_bound(ms, x) for x in xs])
+        lam = np.array([m.lam for m in ms.modes()])
+        closed = np.exp(2.0 * np.multiply.outer(xs, lam)).sum(axis=1)
+        assert np.abs(bounds / closed - 1.0).max() <= 1e-12
+
+    def test_scalar_bound_is_float(self):
+        assert type(observability_lower_bound(ModeSet((0, 1), 101), 0.1)) is float
+
+    def test_negative_distance_in_array_rejected(self):
+        with pytest.raises(ValueError):
+            observability_lower_bound(ModeSet((0,), 101), [0.1, -0.1])
