@@ -5,8 +5,8 @@ from .discrete_ops import (SystemMatrices, assemble, fictitious_point,
                            sweep_form)
 from .gain import (GainVector, ObservabilityDeficient, PlacementFailed,
                    PoleSpec, ackermann_gain, observability_matrix,
-                   ring_poles, spectral_radius, tuned_injection_gain,
-                   uniform_poles)
+                   ring_poles, settle_steps, spectral_radius,
+                   tuned_injection_gain, uniform_poles)
 from .grid import RectGrid, build_grid
 from .observer import (NonFiniteState, ObserverConfig, ObserverProblem,
                        SweepReport, error_bottom, march_sweep, run,

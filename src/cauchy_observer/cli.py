@@ -261,7 +261,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         print(f"did not converge within {cfg.max_sweeps} sweeps "
               f"(last residual {report.top_residuals[-1]:.3e})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    print(f"converged at sweep {report.converged_at}; "
+    warmup = (f" (warm-up {report.warmup_steps} steps)"
+              if report.warmup_steps else "")
+    print(f"converged at sweep {report.converged_at}{warmup}; "
           f"outputs in {out.resolve()}")
     return EXIT_OK
 

@@ -105,6 +105,22 @@ def fictitious_point(xi1_1: float, xi1_2: float, xi2_1_next: float,
 
 
 
+def sweep_base(mats: SystemMatrices, k: np.ndarray, f: np.ndarray,
+               g: np.ndarray):
+    """The part of ``sweep_form`` that is the same for every sweep: all of
+    it for the one-sided closure, all but the ghost closure's lagged
+    U[:, ny] term otherwise."""
+    ny = mats.ny
+    k = np.asarray(k, dtype=float)
+    f = np.asarray(f, dtype=float)
+    M = mats.F - np.outer(k, mats.C_row)
+    U = np.outer(f[:-1], k)
+    U[:, -1] -= 2.0 * mats.dx * np.asarray(g, dtype=float)[:-1] / mats.dy
+    if mats.bottom_closure == "ghost":
+        M[ny] = -k[ny] * mats.C_row
+    return M, U
+
+
 def sweep_form(mats: SystemMatrices, k: np.ndarray, f: np.ndarray,
                g: np.ndarray, prev_field: Optional[np.ndarray] = None):
     """Affine form (M, U) of one sweep: state n+1 is M @ state n + U[n].
@@ -117,15 +133,9 @@ def sweep_form(mats: SystemMatrices, k: np.ndarray, f: np.ndarray,
     -k[ny] C and U[n, ny] gains prev_field[n + 1, ny], the lagged bottom
     du/dx of the previous sweep, which must then be given.
     """
-    ny = mats.ny
-    k = np.asarray(k, dtype=float)
-    f = np.asarray(f, dtype=float)
-    M = mats.F - np.outer(k, mats.C_row)
-    U = np.outer(f[:-1], k)
-    U[:, -1] -= 2.0 * mats.dx * np.asarray(g, dtype=float)[:-1] / mats.dy
+    M, U = sweep_base(mats, k, f, g)
     if mats.bottom_closure == "ghost":
         if prev_field is None:
             raise ValueError("the ghost closure needs the previous sweep's field")
-        M[ny] = -k[ny] * mats.C_row
-        U[:, ny] += prev_field[1:, ny]
+        U[:, mats.ny] += prev_field[1:, mats.ny]
     return M, U

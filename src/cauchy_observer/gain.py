@@ -5,7 +5,9 @@ matrix conditioning and the gain magnitude both grow quickly with the state
 dimension, so the polynomial evaluation and the linear solve are carried out
 in extended precision before rounding the gain to float64.  The placement
 post-check compares the achieved closed-loop spectrum against the request
-and refuses silently wrong gains.
+and refuses silently wrong gains.  A stable gain also carries its settling
+certificate: a step count W with ||(F - K C)^W||_2 below one rounding unit,
+after which the march has forgotten its starting line.
 
 Beyond dimension ~14 (ny ~ 7 on the standard domain) no float64 gain vector
 can realize an accurate placement at all: rounding the exact gain perturbs
@@ -80,6 +82,7 @@ class GainVector:
     obs_condition: Optional[float] = None
     pole_min: Optional[float] = None
     pole_max: Optional[float] = None
+    settle_steps: Optional[int] = None   # see settle_steps(); None: none certified
 
 
 def observability_matrix(F: np.ndarray, C_row: np.ndarray) -> np.ndarray:
@@ -101,6 +104,38 @@ def spectral_radius(M: np.ndarray) -> float:
         return float(np.abs(np.linalg.eigvals(np.asarray(M, dtype=float))).max())
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"eigensolve failed: {exc}") from exc
+
+
+SETTLE_TOL = 2.0 ** -52
+_SETTLE_CAP_LOG2 = 16
+
+
+def settle_steps(M: np.ndarray) -> Optional[int]:
+    """A step count W with ||M^W||_2 <= 2**-52, or None if no power up to
+    2**16 settles, as for any M with spectral radius 1 or more.
+
+    Squares M until a power M^(2^j) settles, then descends bit by bit over
+    the squared powers to the first W below 2^j whose computed power
+    settles: about 2j small matrix products.  Each test uses the Frobenius
+    norm, an upper bound on the 2-norm, and the returned W is always one
+    whose computed power passed; rounding in the squared powers only makes
+    W larger than a plain power scan would (99 against 70 for the ring gain
+    at 257x5).
+    """
+    powers = [np.asarray(M, dtype=float)]    # powers[i] = M^(2^i)
+    # an unstable M overflows while squaring; inf and nan never settle
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not np.linalg.norm(powers[-1]) <= SETTLE_TOL:
+            if len(powers) > _SETTLE_CAP_LOG2:
+                return None
+            powers.append(powers[-1] @ powers[-1])
+        # invariant: M^lo does not settle, M^(lo + 2^(i+1)) does
+        lo, M_lo = 0, None
+        for i in range(len(powers) - 2, -1, -1):
+            trial = powers[i] if M_lo is None else M_lo @ powers[i]
+            if not np.linalg.norm(trial) <= SETTLE_TOL:
+                lo, M_lo = lo + 2 ** i, trial
+    return lo + 1
 
 
 def _real_poly_from_poles(poles: np.ndarray, dtype) -> np.ndarray:
@@ -191,7 +226,8 @@ def ackermann_gain(F: np.ndarray, C_row: np.ndarray, spec: PoleSpec,
     z = _solve_extended(Ow.copy(), e_last)
     k = np.asarray(Q @ z, dtype=float)
 
-    achieved = np.linalg.eigvals(F - np.outer(k, C))
+    M = F - np.outer(k, C)
+    achieved = np.linalg.eigvals(M)
     tol = check_tol_scale * (1.0 + float(np.abs(spec.poles).max()))
     mismatch = _match_spectra(achieved, spec.poles)
     if mismatch > tol:
@@ -203,7 +239,8 @@ def ackermann_gain(F: np.ndarray, C_row: np.ndarray, spec: PoleSpec,
     reals = spec.poles.real
     return GainVector(k=k, method="ackermann", spectral_radius=radius,
                       stable=radius < 1.0, obs_condition=cond,
-                      pole_min=float(reals.min()), pole_max=float(reals.max()))
+                      pole_min=float(reals.min()), pole_max=float(reals.max()),
+                      settle_steps=settle_steps(M))
 
 
 def tuned_injection_gain(F: np.ndarray, C_row: np.ndarray,
@@ -230,7 +267,9 @@ def tuned_injection_gain(F: np.ndarray, C_row: np.ndarray,
         radius = spectral_radius(F - kappa * np.outer(pattern, C))
         if radius < best_radius:
             best_kappa, best_radius = float(kappa), radius
-    return GainVector(k=best_kappa * pattern, method="tuned",
+    k = best_kappa * pattern
+    return GainVector(k=k, method="tuned",
                       spectral_radius=float(best_radius),
                       stable=best_radius < 1.0, obs_condition=None,
-                      pole_min=None, pole_max=None)
+                      pole_min=None, pole_max=None,
+                      settle_steps=settle_steps(F - np.outer(k, C)))

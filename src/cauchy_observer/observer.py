@@ -10,12 +10,24 @@ Within a sweep every step is the affine recursion
 
     x_{n+1} = M @ x_n + U[n],   M = F - K C,   U[n] = K f[n] + dx b(g[n])
 
-built once per sweep by ``discrete_ops.sweep_form``; the divergence guard is
-checked once over the whole marched sweep.  With the default one-sided
-bottom closure a sweep depends on the previous one only through its final
-line, so the whole sweep map is a strict contraction whenever the gain
-certificate holds, and two runs fed the same data differ exactly by powers
-of M applied to the difference of their starting lines.
+built once per run by ``discrete_ops.sweep_base`` (the ghost closure
+rebuilds only its lagged U[:, ny] term each sweep); the divergence guard is
+checked once over each marched stretch.  With the default one-sided bottom
+closure a sweep depends on the previous one only through its final line, so
+the whole sweep map is a strict contraction whenever the gain certificate
+holds, and two runs fed the same data differ exactly by powers of M applied
+to the difference of their starting lines.
+
+Warm start.  With N = nx - 1 steps per sweep, the periodic fixed point's
+start line is  x*_0 = c_W + M^W x*_{N-W}  for any W <= N, where c_W is the
+state reached by marching only the last W steps of the data from rest.  A
+gain whose settling certificate W = ``GainVector.settle_steps`` is below N
+has ||M^W||_2 <= 2**-52, so the second term is under one rounding unit of
+the field.  A one-sided run without an initial guess therefore marches
+those W warm-up steps first and starts its first stored sweep from c_W,
+which makes that sweep the fixed point.  In every other case the start line
+is zero.  ``converged_at`` counts stored sweeps only; the warm-up is
+reported as ``SweepReport.warmup_steps``.
 """
 
 import warnings
@@ -24,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .discrete_ops import SystemMatrices, sweep_form
+from .discrete_ops import SystemMatrices, sweep_base, sweep_form
 from .gain import GainVector
 from .grid import RectGrid
 from .reference import CauchyData, ReferenceSolution, bottom_trace
@@ -54,7 +66,8 @@ class ObserverProblem:
 class ObserverConfig:
     max_sweeps: int = 500
     tol: Optional[float] = None          # default: 1e-6 * ||f||
-    initial_guess: Optional[np.ndarray] = None   # (nx, 2*ny), default zeros
+    # (nx, 2*ny); default: zeros, or the warm-start line (see module docstring)
+    initial_guess: Optional[np.ndarray] = None
     guard: float = 1e12
     allow_uncertified_gain: bool = False
 
@@ -70,6 +83,7 @@ class SweepReport:
     top_residuals: list = field(default_factory=list)
     bottom_errors: list = field(default_factory=list)
     converged_at: Optional[int] = None
+    warmup_steps: int = 0       # steps marched before sweep 1; 0: zero start
 
     @property
     def sweeps(self) -> int:
@@ -117,6 +131,28 @@ def error_bottom(field: np.ndarray, reference: np.ndarray, dx: float) -> float:
     return err / ref_norm
 
 
+def _march(x0: np.ndarray, M: np.ndarray, U: np.ndarray, guard: float,
+           stage: str = "sweep") -> np.ndarray:
+    """States x0, M @ x0 + U[0], ...: one row per step after the first.
+
+    Raises NonFiniteState, naming the first offending ``stage`` step, when
+    any marched state leaves the guard ball or is not finite.
+    """
+    cur = np.empty((len(U) + 1, len(x0)))
+    x = cur[0] = x0
+    # a diverging march may overflow before the guard is checked below;
+    # M.dot(x) gives the same bits as M @ x with less call overhead per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, u in enumerate(U, 1):
+            x = cur[n] = M.dot(x) + u
+        outside = ~(np.abs(cur[1:]) <= guard).all(axis=1)
+    if outside.any():
+        raise NonFiniteState(
+            f"divergence guard tripped at {stage} step {outside.argmax() + 1}: "
+            f"state magnitude exceeded {guard:.1e}")
+    return cur
+
+
 def march_sweep(prev_field: np.ndarray, mats: SystemMatrices, k: np.ndarray,
                 f: np.ndarray, g: np.ndarray, guard: float) -> np.ndarray:
     """One full sweep; the new field's first line is the previous final line.
@@ -126,19 +162,7 @@ def march_sweep(prev_field: np.ndarray, mats: SystemMatrices, k: np.ndarray,
     leaves the guard ball or is not finite.
     """
     M, U = sweep_form(mats, k, f, g, prev_field)
-    cur = np.empty((len(f), 2 * mats.ny))
-    x = cur[0] = prev_field[-1]
-    # a diverging march may overflow before the guard is checked below;
-    # M.dot(x) gives the same bits as M @ x with less call overhead per step
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n, u in enumerate(U, 1):
-            x = cur[n] = M.dot(x) + u
-        outside = ~(np.abs(cur[1:]) <= guard).all(axis=1)
-    if outside.any():
-        raise NonFiniteState(
-            f"divergence guard tripped at sweep step {outside.argmax() + 1}: "
-            f"state magnitude exceeded {guard:.1e}")
-    return cur
+    return _march(prev_field[-1], M, U, guard)
 
 
 def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None,
@@ -147,7 +171,8 @@ def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None,
 
     Returns (field, report) where field has shape (nx, 2*ny): row n holds
     the stacked state on the vertical line at x node n.  The recovered
-    bottom trace is field[:, 0].
+    bottom trace is field[:, 0].  Without an initial guess a certified
+    one-sided run first marches a warm-up (see the module docstring).
     """
     config = config or ObserverConfig()
     if not problem.gain.stable and not config.allow_uncertified_gain:
@@ -156,23 +181,34 @@ def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None,
             f"{problem.gain.spectral_radius:.6f}); pass "
             "allow_uncertified_gain=True to override")
     grid = problem.grid
+    ny, steps = grid.ny, grid.nx - 1
     f = problem.cauchy.f
     g = problem.cauchy.g
     tol = config.tol
     if tol is None:
         tol = 1e-6 * discrete_l2(f, grid.dx)
+    M, U = sweep_base(problem.mats, problem.gain.k, f, g)
+    ghost = problem.mats.bottom_closure == "ghost"
+    if ghost:
+        lag_free = U[:, ny].copy()
+    report = SweepReport()
     if config.initial_guess is None:
-        prev = np.zeros((grid.nx, 2 * grid.ny))
+        prev = np.zeros((grid.nx, 2 * ny))
+        warmup = problem.gain.settle_steps
+        if not ghost and warmup is not None and warmup < steps:
+            prev[-1] = _march(prev[-1], M, U[steps - warmup:], config.guard,
+                              "warm-up")[-1]
+            report.warmup_steps = warmup
     else:
         prev = np.asarray(config.initial_guess, dtype=float).copy()
-        if prev.shape != (grid.nx, 2 * grid.ny):
+        if prev.shape != (grid.nx, 2 * ny):
             raise ValueError("initial guess must have shape (nx, 2*ny)")
     ref_trace = bottom_trace(reference, grid) if reference is not None else None
 
-    report = SweepReport()
-    k = problem.gain.k
     for sweep in range(1, config.max_sweeps + 1):
-        cur = march_sweep(prev, problem.mats, k, f, g, config.guard)
+        if ghost:
+            U[:, ny] = lag_free + prev[1:, ny]
+        cur = _march(prev[-1], M, U, config.guard)
         res = top_residual(cur, f, grid.dx)
         report.top_residuals.append(res)
         if ref_trace is not None:

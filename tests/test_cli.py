@@ -89,6 +89,17 @@ class TestSolve:
         plot = (out / "plot.gp").read_text()
         assert "boundary.csv" in plot and "history.csv" in plot
 
+    def test_stdout_notes_the_warmup(self, tmp_path, capsys):
+        out = tmp_path / "run8"
+        cfg = write_config(tmp_path, BASE_CONFIG.format(out=out))
+        assert main(["solve", "--config", cfg]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "converged at sweep 1 (warm-up 99 steps); " in stdout
+        # 65x5: the ring gain settles only after 87 steps, more than a sweep
+        assert main(["solve", "--config", cfg,
+                     "--nx", "65", "--tol", "1e-2"]) == EXIT_OK
+        assert "converged at sweep 2; " in capsys.readouterr().out
+
     def test_forced_non_convergence(self, tmp_path):
         out = tmp_path / "run2"
         cfg = write_config(tmp_path, BASE_CONFIG.format(out=out))

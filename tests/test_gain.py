@@ -3,8 +3,9 @@ import pytest
 
 from cauchy_observer import (ObservabilityDeficient, PlacementFailed, PoleSpec,
                              ackermann_gain, assemble, build_grid,
-                             observability_matrix, ring_poles, spectral_radius,
-                             tuned_injection_gain, uniform_poles)
+                             observability_matrix, ring_poles, settle_steps,
+                             spectral_radius, tuned_injection_gain,
+                             uniform_poles)
 
 A, B = 2 * np.pi, 0.5
 
@@ -144,6 +145,42 @@ class TestAckermann:
         for _ in range(200):
             e = M @ e
         assert np.linalg.norm(e) <= 1e-3 * np.linalg.norm(e0)
+
+
+class TestSettleSteps:
+    @pytest.mark.parametrize("nx,ny", [(65, 5), (257, 5), (257, 6), (513, 3),
+                                       (2049, 3)])
+    def test_certificate_holds_for_plain_powers(self, nx, ny):
+        mats = assemble(build_grid(A, B, nx, ny))
+        gv = ackermann_gain(mats.F, mats.C_row, ring_poles(2 * ny, 0.55))
+        M = mats.F - np.outer(gv.k, mats.C_row)
+        W = settle_steps(M)
+        assert W is not None and gv.settle_steps == W
+        P = np.eye(len(M))
+        for _ in range(W):
+            P = P @ M
+        assert np.linalg.norm(P, 2) <= 2.0 ** -52
+
+    def test_exact_powers_give_the_first_settling_step(self):
+        # powers of 1/2 are exact: ||M^W|| = 2^-W, first at most 2^-52 at 52
+        assert settle_steps(np.array([[0.5]])) == 52
+        assert settle_steps(np.zeros((3, 3))) == 1
+
+    @pytest.mark.parametrize("M", [1.01 * np.eye(3), np.eye(2),
+                                   np.array([[0.0, 2.0], [-2.0, 0.0]]),
+                                   np.full((2, 2), np.nan)])
+    def test_unstable_never_settles(self, M):
+        assert settle_steps(M) is None
+
+    def test_tuned_gain_certified_only_when_stable(self):
+        F = 0.5 * np.eye(6)
+        C = np.zeros(6); C[2] = 1.0
+        gv = tuned_injection_gain(F, C, [0.01, 0.05, 0.1])
+        assert gv.stable
+        assert gv.settle_steps == settle_steps(F - np.outer(gv.k, C))
+        mats = assemble(build_grid(A, B, 65, 9))
+        gv = tuned_injection_gain(mats.F, mats.C_row, np.geomspace(1e-3, 1e3, 61))
+        assert not gv.stable and gv.settle_steps is None
 
 
 class TestTunedInjection:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from cauchy_observer import (CauchyData, GainVector, NonFiniteState, ObserverConfig,
-                             ObserverProblem, ackermann_gain, assemble,
-                             build_grid, error_bottom, make_cauchy_data,
-                             march_sweep, neumann_example, ring_poles, run,
-                             top_residual, tuned_injection_gain, uniform_poles)
+                             ObserverProblem, TrigTerm, ackermann_gain, assemble,
+                             build_grid, combo_example, error_bottom,
+                             make_cauchy_data, march_sweep, neumann_example,
+                             ring_poles, run, top_residual,
+                             tuned_injection_gain, uniform_poles)
 
 A, B = 2 * np.pi, 0.5
 
@@ -184,3 +185,97 @@ class TestRun:
         problem = ObserverProblem(grid, data, mats, gain)
         with pytest.raises(ValueError):
             run(problem, ObserverConfig(initial_guess=np.zeros((3, 3))))
+
+
+# the verified window: grids where the ring gain designs and the sweep
+# converges, with the Fourier indices that converge there
+WINDOW = [(129, 5, 1)] + [(nx, ny, k) for nx, ny in ((257, 5), (385, 5),
+                                                    (257, 6), (513, 3),
+                                                    (1025, 3), (2049, 3))
+                          for k in (1, 2)]
+# runs that must not trip the guard even while diverging
+UNGUARDED = dict(max_sweeps=3, tol=0.0, guard=1e300,
+                 allow_uncertified_gain=True)
+
+
+def window_problem(nx, ny, k, parity, closure="one_sided", gain="ring"):
+    grid = build_grid(A, B, nx, ny)
+    mats = assemble(grid, bottom_closure=closure)
+    if gain == "ring":
+        gv = ackermann_gain(mats.F, mats.C_row, ring_poles(2 * ny, 0.55))
+    else:
+        gv = tuned_injection_gain(mats.F, mats.C_row,
+                                  np.geomspace(1e-3, 1e3, 241))
+    sol = combo_example([TrigTerm(k, 1.0, parity)], A, B)
+    return ObserverProblem(grid, make_cauchy_data(sol, grid), mats, gv), sol
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("parity", ["cos", "sin"])
+    @pytest.mark.parametrize("nx,ny,k", WINDOW)
+    def test_first_sweep_is_the_fixed_point(self, nx, ny, k, parity):
+        problem, sol = window_problem(nx, ny, k, parity)
+        _, report = run(problem, reference=sol)
+        _, cold = run(problem, ObserverConfig(
+            initial_guess=np.zeros((nx, 2 * ny))), reference=sol)
+        assert report.warmup_steps == problem.gain.settle_steps < nx - 1
+        assert cold.warmup_steps == 0
+        assert report.converged_at == 1 and cold.converged_at is not None
+        err, cold_err = report.bottom_errors[-1], cold.bottom_errors[-1]
+        assert abs(err - cold_err) <= 1e-5 * cold_err
+
+    @pytest.mark.parametrize("case", ["ghost", "tuned", "unsettled"])
+    def test_zero_start_without_usable_certificate(self, case):
+        if case == "ghost":
+            # certified, but the ghost march does not use the certified M
+            problem, _ = window_problem(257, 5, 1, "cos", closure="ghost")
+            assert problem.gain.settle_steps < problem.grid.nx - 1
+        elif case == "tuned":
+            problem, _ = window_problem(129, 3, 1, "cos", gain="tuned")
+            assert problem.gain.settle_steps is None
+        else:
+            problem, _ = window_problem(65, 5, 1, "cos")
+            assert problem.gain.settle_steps >= problem.grid.nx - 1
+        grid = problem.grid
+        field, report = run(problem, ObserverConfig(**UNGUARDED))
+        zero_field, zero = run(problem, ObserverConfig(
+            initial_guess=np.zeros((grid.nx, 2 * grid.ny)), **UNGUARDED))
+        assert report.warmup_steps == 0
+        assert np.array_equal(field, zero_field)
+        assert report.top_residuals == zero.top_residuals
+
+    @pytest.mark.parametrize("closure", ["one_sided", "ghost"])
+    def test_explicit_guess_chains_march_sweep(self, closure):
+        problem, _ = window_problem(129, 3, 1, "sin", closure=closure)
+        grid, data = problem.grid, problem.cauchy
+        guess = np.random.default_rng(3).standard_normal((grid.nx, 2 * grid.ny))
+        field, report = run(problem, ObserverConfig(initial_guess=guess,
+                                                    **UNGUARDED))
+        expected = guess
+        for _ in range(UNGUARDED["max_sweeps"]):
+            expected = march_sweep(expected, problem.mats, problem.gain.k,
+                                   data.f, data.g, UNGUARDED["guard"])
+        assert report.warmup_steps == 0 and report.sweeps == 3
+        assert np.array_equal(field, expected)
+
+    def test_guard_names_the_warmup_step(self):
+        problem, _ = window_problem(257, 5, 1, "cos")
+        grid, mats, data = problem.grid, problem.mats, problem.cauchy
+        k = problem.gain.k
+        guard = 1e8
+        with pytest.raises(NonFiniteState) as excinfo:
+            run(problem, ObserverConfig(guard=guard))
+        # per-step reference march of the last W steps from rest
+        ny, steps, W = grid.ny, grid.nx - 1, problem.gain.settle_steps
+        s = np.zeros(2 * ny)
+        first_out = None
+        for i, n in enumerate(range(steps - W, steps), 1):
+            b = np.zeros(2 * ny)
+            b[-1] = -2.0 * data.g[n] / grid.dy
+            s = mats.F @ s - k * (s[ny - 1] - data.f[n]) + grid.dx * b
+            if not (np.abs(s) <= guard).all():
+                first_out = i
+                break
+        assert first_out is not None and first_out > 1
+        named = int(re.search(r"warm-up step (\d+)", str(excinfo.value)).group(1))
+        assert named == first_out
