@@ -41,9 +41,7 @@ for nx in (65, 129, 257):
             continue
         problem = co.ObserverProblem(grid, data, mats, gain)
         try:
-            field, rep = co.run(problem,
-                                co.ObserverConfig(max_sweeps=120,
-                                                  allow_uncertified_gain=True),
+            field, rep = co.run(problem, co.ObserverConfig(max_sweeps=120),
                                 reference=solution)
             err = rep.bottom_errors[-1]
             outcome = f"bottom error {err:.2%}"

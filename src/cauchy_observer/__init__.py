@@ -1,16 +1,13 @@
 """Boundary-data recovery for the two-dimensional Laplace equation by an
 iterative marching observer, plus the spectral diagnostics that back it."""
 
-from .discrete_ops import (SystemMatrices, assemble, fictitious_point,
-                           sweep_form)
+from .discrete_ops import SystemMatrices, assemble, sweep_form
 from .gain import (GainVector, ObservabilityDeficient, PlacementFailed,
                    PoleSpec, ackermann_gain, observability_matrix,
-                   ring_poles, settle_steps, spectral_radius,
-                   tuned_injection_gain, uniform_poles)
+                   ring_poles, settle_steps, uniform_poles)
 from .grid import RectGrid, build_grid
 from .observer import (NonFiniteState, ObserverConfig, ObserverProblem,
-                       SweepReport, error_bottom, march_sweep, run,
-                       top_residual)
+                       SweepReport, error_bottom, run, top_residual)
 from .reference import (CauchyData, ReferenceSolution, TrigTerm, bottom_trace,
                         combo_example, dirichlet_example, evaluate,
                         make_cauchy_data, neumann_example, sample_state_field)

@@ -22,7 +22,7 @@ import numpy as np
 from . import spectral
 from .discrete_ops import assemble
 from .gain import (ObservabilityDeficient, PlacementFailed, ackermann_gain,
-                   ring_poles, tuned_injection_gain, uniform_poles)
+                   ring_poles, uniform_poles)
 from .grid import build_grid
 from .observer import NonFiniteState, ObserverConfig, ObserverProblem, run
 from .reference import (ReferenceSolution, TrigTerm, bottom_trace,
@@ -43,13 +43,11 @@ class RunConfig:
     b: float = 0.5
     nx: int = 257
     ny: int = 5
-    gain_method: str = "ackermann"      # ackermann | tuned
     pole_layout: str = "ring"           # ring | uniform
     pole_min: float = 0.3
     pole_max: float = 0.8
     max_sweeps: int = 500
     tol: float = -1.0                   # < 0: default 1e-6 * ||f||
-    bottom_closure: str = "one_sided"
     guard: float = 1e12
     modes_min: int = -4
     modes_max: int = 8
@@ -75,8 +73,8 @@ def _coerce(name: str, raw: str, target_type):
 def parse_config(path: Optional[str], overrides: List[str]) -> RunConfig:
     """Read ``key = value`` lines, then apply --key value override pairs."""
     cfg = RunConfig()
-    types = {"example": str, "terms": str, "gain_method": str,
-             "pole_layout": str, "bottom_closure": str, "output_dir": str,
+    types = {"example": str, "terms": str, "pole_layout": str,
+             "output_dir": str,
              "a": float, "b": float, "pole_min": float, "pole_max": float,
              "tol": float, "guard": float,
              "nx": int, "ny": int, "max_sweeps": int,
@@ -191,25 +189,26 @@ plot 'history.csv' using 1:2 with linespoints, \\
 
 def _design_gain(cfg: RunConfig, mats):
     n = 2 * cfg.ny
-    if cfg.gain_method == "tuned":
-        grid_pts = np.geomspace(1e-3, 1e3, 241)
-        return tuned_injection_gain(mats.F, mats.C_row, grid_pts)
-    if cfg.gain_method != "ackermann":
-        raise ConfigError(f"unknown gain method {cfg.gain_method!r}")
     if not (cfg.pole_min < cfg.pole_max < 1.0):
         raise ConfigError("poles must satisfy pole_min < pole_max < 1")
-    if cfg.pole_layout == "uniform":
-        spec = uniform_poles(n, cfg.pole_min, cfg.pole_max)
-    elif cfg.pole_layout == "ring":
-        spec = ring_poles(n, 0.5 * (cfg.pole_min + cfg.pole_max))
-    else:
-        raise ConfigError(f"unknown pole layout {cfg.pole_layout!r}")
+    try:
+        if cfg.pole_layout == "uniform":
+            spec = uniform_poles(n, cfg.pole_min, cfg.pole_max)
+        elif cfg.pole_layout == "ring":
+            spec = ring_poles(n, 0.5 * (cfg.pole_min + cfg.pole_max))
+        else:
+            raise ConfigError(f"unknown pole layout {cfg.pole_layout!r}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return ackermann_gain(mats.F, mats.C_row, spec)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
     try:
         grid = build_grid(cfg.a, cfg.b, cfg.nx, cfg.ny)
+        config = ObserverConfig(max_sweeps=cfg.max_sweeps,
+                                tol=None if cfg.tol < 0 else cfg.tol,
+                                guard=cfg.guard)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -217,7 +216,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     sol = _reference_for(cfg)
     cauchy = make_cauchy_data(sol, grid)
-    mats = assemble(grid, bottom_closure=cfg.bottom_closure)
+    mats = assemble(grid)
     try:
         gain = _design_gain(cfg, mats)
     except (ObservabilityDeficient, PlacementFailed) as exc:
@@ -227,16 +226,10 @@ def cmd_solve(cfg: RunConfig) -> int:
     write_csv(out / "gain.csv",
               ["method", "pole_min", "pole_max", "spectral_radius",
                "obs_matrix_condition"],
-              [[gain.method,
-                "" if gain.pole_min is None else gain.pole_min,
-                "" if gain.pole_max is None else gain.pole_max,
-                gain.spectral_radius,
-                "" if gain.obs_condition is None else gain.obs_condition]])
+              [[gain.method, gain.pole_min, gain.pole_max,
+                gain.spectral_radius, gain.obs_condition]])
 
     problem = ObserverProblem(grid=grid, cauchy=cauchy, mats=mats, gain=gain)
-    config = ObserverConfig(max_sweeps=cfg.max_sweeps,
-                            tol=None if cfg.tol < 0 else cfg.tol,
-                            guard=cfg.guard)
     try:
         field, report = run(problem, config, reference=sol)
     except NonFiniteState as exc:

@@ -1,13 +1,16 @@
-"""Output-injection gain design and stability certificates.
+"""Output-injection gain design by pole placement, and its certificates.
 
-Single-output pole placement is numerically delicate: the observability
-matrix conditioning and the gain magnitude both grow quickly with the state
-dimension, so the polynomial evaluation and the linear solve are carried out
-in extended precision before rounding the gain to float64.  The placement
-post-check compares the achieved closed-loop spectrum against the request
-and refuses silently wrong gains.  A stable gain also carries its settling
-certificate: a step count W with ||(F - K C)^W||_2 below one rounding unit,
-after which the march has forgotten its starting line.
+The gain K is placed by Ackermann's formula so that F - K C has a requested
+spectrum inside the unit circle; a gain is certified stable when the
+achieved spectral radius is below one.  Single-output pole placement is
+numerically delicate: the observability matrix conditioning and the gain
+magnitude both grow quickly with the state dimension, so the polynomial
+evaluation and the linear solve are carried out in extended precision
+before rounding the gain to float64.  The placement post-check compares
+the achieved closed-loop spectrum against the request and refuses silently
+wrong gains.  A stable gain also carries its settling certificate: a step
+count W with ||(F - K C)^W||_2 below one rounding unit, after which the
+march has forgotten its starting line.
 
 Beyond dimension ~14 (ny ~ 7 on the standard domain) no float64 gain vector
 can realize an accurate placement at all: rounding the exact gain perturbs
@@ -16,7 +19,7 @@ explicit PlacementFailed instead of returning garbage.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -79,9 +82,9 @@ class GainVector:
     method: str
     spectral_radius: float
     stable: bool
-    obs_condition: Optional[float] = None
-    pole_min: Optional[float] = None
-    pole_max: Optional[float] = None
+    obs_condition: float
+    pole_min: float
+    pole_max: float
     settle_steps: Optional[int] = None   # see settle_steps(); None: none certified
 
 
@@ -96,14 +99,6 @@ def observability_matrix(F: np.ndarray, C_row: np.ndarray) -> np.ndarray:
         O[i] = row
         row = row @ F
     return O
-
-
-def spectral_radius(M: np.ndarray) -> float:
-    """Largest eigenvalue modulus via dense eigensolve."""
-    try:
-        return float(np.abs(np.linalg.eigvals(np.asarray(M, dtype=float))).max())
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"eigensolve failed: {exc}") from exc
 
 
 SETTLE_TOL = 2.0 ** -52
@@ -241,35 +236,3 @@ def ackermann_gain(F: np.ndarray, C_row: np.ndarray, spec: PoleSpec,
                       stable=radius < 1.0, obs_condition=cond,
                       pole_min=float(reals.min()), pole_max=float(reals.max()),
                       settle_steps=settle_steps(M))
-
-
-def tuned_injection_gain(F: np.ndarray, C_row: np.ndarray,
-                         search_grid: Sequence[float]) -> GainVector:
-    """Single-entry injection at the observed node, scale chosen by scan.
-
-    Scans kappa over ``search_grid`` (zero is always included, so the result
-    is never worse than the ungained operator) and keeps the scale with the
-    smallest closed-loop spectral radius.  A radius at or above one is
-    returned flagged rather than raised: one scalar often cannot stabilize a
-    strongly unstable marching operator.
-    """
-    F = np.asarray(F, dtype=float)
-    C = np.asarray(C_row, dtype=float).ravel()
-    grid = list(search_grid)
-    if len(grid) == 0:
-        raise ValueError("search grid must be nonempty")
-    if 0.0 not in grid:
-        grid = [0.0] + grid
-    pattern = np.zeros(len(C))
-    pattern[int(np.abs(C).argmax())] = 1.0
-    best_kappa, best_radius = 0.0, np.inf
-    for kappa in grid:
-        radius = spectral_radius(F - kappa * np.outer(pattern, C))
-        if radius < best_radius:
-            best_kappa, best_radius = float(kappa), radius
-    k = best_kappa * pattern
-    return GainVector(k=k, method="tuned",
-                      spectral_radius=float(best_radius),
-                      stable=best_radius < 1.0, obs_condition=None,
-                      pole_min=None, pole_max=None,
-                      settle_steps=settle_steps(F - np.outer(k, C)))

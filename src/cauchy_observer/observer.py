@@ -10,24 +10,23 @@ Within a sweep every step is the affine recursion
 
     x_{n+1} = M @ x_n + U[n],   M = F - K C,   U[n] = K f[n] + dx b(g[n])
 
-built once per run by ``discrete_ops.sweep_base`` (the ghost closure
-rebuilds only its lagged U[:, ny] term each sweep); the divergence guard is
-checked once over each marched stretch.  With the default one-sided bottom
-closure a sweep depends on the previous one only through its final line, so
-the whole sweep map is a strict contraction whenever the gain certificate
-holds, and two runs fed the same data differ exactly by powers of M applied
-to the difference of their starting lines.
+built once per run by ``discrete_ops.sweep_form``; the divergence guard is
+checked once over each marched stretch.  A sweep depends on the previous
+one only through its final line, so the whole sweep map is a strict
+contraction whenever the gain certificate holds, and two runs fed the same
+data differ exactly by powers of M applied to the difference of their
+starting lines.  ``run`` refuses a gain without that certificate.
 
 Warm start.  With N = nx - 1 steps per sweep, the periodic fixed point's
 start line is  x*_0 = c_W + M^W x*_{N-W}  for any W <= N, where c_W is the
 state reached by marching only the last W steps of the data from rest.  A
 gain whose settling certificate W = ``GainVector.settle_steps`` is below N
 has ||M^W||_2 <= 2**-52, so the second term is under one rounding unit of
-the field.  A one-sided run without an initial guess therefore marches
-those W warm-up steps first and starts its first stored sweep from c_W,
-which makes that sweep the fixed point.  In every other case the start line
-is zero.  ``converged_at`` counts stored sweeps only; the warm-up is
-reported as ``SweepReport.warmup_steps``.
+the field.  A run without an initial guess therefore marches those W
+warm-up steps first and starts its first stored sweep from c_W, which makes
+that sweep the fixed point.  In every other case the start line is zero.
+``converged_at`` counts stored sweeps only; the warm-up is reported as
+``SweepReport.warmup_steps``.
 """
 
 import warnings
@@ -36,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .discrete_ops import SystemMatrices, sweep_base, sweep_form
+from .discrete_ops import SystemMatrices, sweep_form
 from .gain import GainVector
 from .grid import RectGrid
 from .reference import CauchyData, ReferenceSolution, bottom_trace
@@ -69,13 +68,14 @@ class ObserverConfig:
     # (nx, 2*ny); default: zeros, or the warm-start line (see module docstring)
     initial_guess: Optional[np.ndarray] = None
     guard: float = 1e12
-    allow_uncertified_gain: bool = False
 
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
         if self.tol is not None and self.tol < 0.0:
             raise ValueError("tol must be nonnegative")
+        if not self.guard > 0.0:
+            raise ValueError("guard must be positive")
 
 
 @dataclass
@@ -153,49 +153,33 @@ def _march(x0: np.ndarray, M: np.ndarray, U: np.ndarray, guard: float,
     return cur
 
 
-def march_sweep(prev_field: np.ndarray, mats: SystemMatrices, k: np.ndarray,
-                f: np.ndarray, g: np.ndarray, guard: float) -> np.ndarray:
-    """One full sweep; the new field's first line is the previous final line.
-
-    Marches x = M @ x + U[n] with (M, U) from ``sweep_form``.  Raises
-    NonFiniteState, naming the first offending step, when any marched state
-    leaves the guard ball or is not finite.
-    """
-    M, U = sweep_form(mats, k, f, g, prev_field)
-    return _march(prev_field[-1], M, U, guard)
-
-
 def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None,
         reference: Optional[ReferenceSolution] = None):
     """Iterate sweeps until the top-trace residual drops below tolerance.
 
     Returns (field, report) where field has shape (nx, 2*ny): row n holds
     the stacked state on the vertical line at x node n.  The recovered
-    bottom trace is field[:, 0].  Without an initial guess a certified
-    one-sided run first marches a warm-up (see the module docstring).
+    bottom trace is field[:, 0].  Without an initial guess a run whose gain
+    settles within a sweep first marches a warm-up (see the module
+    docstring).  Raises ValueError for a gain not certified stable.
     """
     config = config or ObserverConfig()
-    if not problem.gain.stable and not config.allow_uncertified_gain:
+    if not problem.gain.stable:
         raise ValueError(
             "gain is not certified stable (spectral radius "
-            f"{problem.gain.spectral_radius:.6f}); pass "
-            "allow_uncertified_gain=True to override")
+            f"{problem.gain.spectral_radius:.6f})")
     grid = problem.grid
     ny, steps = grid.ny, grid.nx - 1
     f = problem.cauchy.f
-    g = problem.cauchy.g
     tol = config.tol
     if tol is None:
         tol = 1e-6 * discrete_l2(f, grid.dx)
-    M, U = sweep_base(problem.mats, problem.gain.k, f, g)
-    ghost = problem.mats.bottom_closure == "ghost"
-    if ghost:
-        lag_free = U[:, ny].copy()
+    M, U = sweep_form(problem.mats, problem.gain.k, f, problem.cauchy.g)
     report = SweepReport()
     if config.initial_guess is None:
         prev = np.zeros((grid.nx, 2 * ny))
         warmup = problem.gain.settle_steps
-        if not ghost and warmup is not None and warmup < steps:
+        if warmup is not None and warmup < steps:
             prev[-1] = _march(prev[-1], M, U[steps - warmup:], config.guard,
                               "warm-up")[-1]
             report.warmup_steps = warmup
@@ -206,8 +190,6 @@ def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None,
     ref_trace = bottom_trace(reference, grid) if reference is not None else None
 
     for sweep in range(1, config.max_sweeps + 1):
-        if ghost:
-            U[:, ny] = lag_free + prev[1:, ny]
         cur = _march(prev[-1], M, U, config.guard)
         res = top_residual(cur, f, grid.dx)
         report.top_residuals.append(res)

@@ -125,6 +125,36 @@ class TestSolve:
         assert main(["solve", "--config", cfg,
                      "--pole_min", "0.9", "--pole_max", "0.2"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("override", [
+        ["--max_sweeps", "0"],
+        ["--pole_min", "-5", "--pole_max", "0.9"],    # ring radius -2.05
+        ["--pole_layout", "uniform", "--pole_min", "-5", "--pole_max", "0.9"],
+        ["--guard", "-1"],
+        ["--guard", "nan"],
+    ], ids=["max_sweeps", "ring_radius", "uniform_poles", "guard", "guard_nan"])
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys,
+                                               override):
+        out = tmp_path / "run9"
+        cfg = write_config(tmp_path, BASE_CONFIG.format(out=out))
+        assert main(["solve", "--config", cfg] + override) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+    @pytest.mark.parametrize("key,value", [("bottom_closure", "ghost"),
+                                           ("gain_method", "tuned")])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, key, value):
+        out = tmp_path / "run10"
+        cfg = write_config(tmp_path, BASE_CONFIG.format(out=out)
+                           + f"{key} = {value}\n")
+        assert main(["solve", "--config", cfg]) == EXIT_USAGE
+        plain = write_config(tmp_path, BASE_CONFIG.format(out=out),
+                             name="plain.cfg")
+        assert main(["solve", "--config", plain, f"--{key}", value]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("configuration error: unknown "
+                                   "configuration key") for line in err)
+        assert not out.exists()
+
     def test_missing_config_file(self):
         assert main(["solve", "--config", "/nonexistent/x.cfg"]) == EXIT_USAGE
 

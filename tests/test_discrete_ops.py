@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cauchy_observer import (assemble, build_grid, fictitious_point,
-                             neumann_example, sample_state_field, sweep_form)
+from cauchy_observer import (assemble, build_grid, neumann_example,
+                             sample_state_field, sweep_form)
 from cauchy_observer.reference import make_cauchy_data
 
 A, B = 2 * np.pi, 0.5
@@ -42,54 +42,12 @@ class TestAssemble:
         inv = 1.0 / g.dy ** 2
         assert np.allclose(D[0, :4], np.array([2.0, -5.0, 4.0, -1.0]) * inv)
 
-    def test_bottom_row_ghost_closure(self):
-        g = build_grid(1.0, 0.5, 5, 5)
-        D = second_difference_of(assemble(g, bottom_closure="ghost"))
-        inv = 1.0 / g.dy ** 2
-        assert D[0, 0] == pytest.approx(-2 * inv)
-        assert D[0, 1] == pytest.approx(inv)
-        assert np.array_equal(D[0, 2:], np.zeros(3))
-
     def test_selector_row(self):
         g = build_grid(1.0, 0.5, 5, 4)
         mats = assemble(g)
         rng = np.random.default_rng(0)
         state = rng.standard_normal(8)
         assert mats.C_row @ state == state[3]
-
-    def test_unknown_closure_rejected(self):
-        g = build_grid(1.0, 0.5, 5, 4)
-        with pytest.raises(ValueError):
-            assemble(g, bottom_closure="mystery")
-
-
-class TestFictitiousPoint:
-    def test_constant_field(self):
-        c = 3.7
-        assert fictitious_point(c, c, 0.4, 0.4, dy=0.1, dx=0.2) == pytest.approx(c)
-
-    def test_linear_extrapolation_part(self):
-        assert fictitious_point(1.0, 0.0, 0.9, 0.9, dy=0.1, dx=0.2) == pytest.approx(2.0)
-
-    def test_derivative_part(self):
-        val = fictitious_point(0.0, 0.0, 1.0, 0.0, dy=0.1, dx=0.2)
-        assert val == pytest.approx(-0.05)
-
-    def test_reproduces_interior_stencil(self):
-        # inserting the ghost into the centered second difference recovers
-        # the marching relation it was solved from
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            xi1_1, xi1_2, nxt, cur = rng.standard_normal(4)
-            dy, dx = rng.uniform(0.05, 0.5, 2)
-            ghost = fictitious_point(xi1_1, xi1_2, nxt, cur, dy, dx)
-            lhs = (xi1_2 - 2 * xi1_1 + ghost) / dy ** 2
-            rhs = -(nxt - cur) / dx
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-    def test_rejects_bad_steps(self):
-        with pytest.raises(ValueError):
-            fictitious_point(0, 0, 0, 0, dy=0.0, dx=0.1)
 
 
 class TestStepLine:
@@ -133,33 +91,6 @@ class TestStepLine:
         parts = al * one_step(s1, mats, k, f1, g1) \
             + be * one_step(s2, mats, k, f2, g2)
         assert np.allclose(combo, parts, rtol=1e-12, atol=1e-12)
-
-    def test_folded_ghost_step_matches_fictitious_point(self):
-        # the ghost closure folded into (M, U) is the centered bottom row
-        # closed by the fictitious node, with its value moved to the forcing
-        g = build_grid(1.0, 0.5, 5, 5)
-        ny = g.ny
-        mats = assemble(g, bottom_closure="ghost")
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            k = rng.standard_normal(2 * ny)
-            s = rng.standard_normal(2 * ny)
-            prev = rng.standard_normal((2, 2 * ny))
-            f_meas, g_meas = rng.standard_normal(2)
-            M, U = sweep_form(mats, k, np.full(2, f_meas), np.full(2, g_meas),
-                              prev_field=prev)
-            ghost = fictitious_point(s[0], s[1], prev[1, ny], s[ny], g.dy, g.dx)
-            b = np.zeros(2 * ny)
-            b[ny] = -ghost / g.dy ** 2
-            b[-1] = -2.0 * g_meas / g.dy
-            expect = mats.F @ s - k * (s[ny - 1] - f_meas) + g.dx * b
-            assert np.allclose(M @ s + U[0], expect, rtol=1e-12, atol=1e-12)
-
-    def test_ghost_needs_previous_field(self):
-        g = build_grid(1.0, 0.5, 5, 5)
-        mats = assemble(g, bottom_closure="ghost")
-        with pytest.raises(ValueError):
-            sweep_form(mats, np.zeros(10), np.zeros(5), np.zeros(5))
 
 
 def _defect_rate(nx, ny):

@@ -4,7 +4,6 @@ import pytest
 from cauchy_observer import (ObservabilityDeficient, PlacementFailed, PoleSpec,
                              ackermann_gain, assemble, build_grid,
                              observability_matrix, ring_poles, settle_steps,
-                             spectral_radius, tuned_injection_gain,
                              uniform_poles)
 
 A, B = 2 * np.pi, 0.5
@@ -29,17 +28,6 @@ class TestObservabilityMatrix:
         O = observability_matrix(mats.F, mats.C_row)
         assert np.linalg.matrix_rank(O) == 2 * g.ny
         assert np.isfinite(np.linalg.cond(O))
-
-
-class TestSpectralRadius:
-    def test_identity(self):
-        assert spectral_radius(np.eye(5)) == pytest.approx(1.0)
-
-    def test_nilpotent(self):
-        assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(0.0)
-
-    def test_diagonal(self):
-        assert spectral_radius(np.diag([0.9, -0.3])) == pytest.approx(0.9)
 
 
 class TestPoleSpec:
@@ -171,49 +159,3 @@ class TestSettleSteps:
                                    np.full((2, 2), np.nan)])
     def test_unstable_never_settles(self, M):
         assert settle_steps(M) is None
-
-    def test_tuned_gain_certified_only_when_stable(self):
-        F = 0.5 * np.eye(6)
-        C = np.zeros(6); C[2] = 1.0
-        gv = tuned_injection_gain(F, C, [0.01, 0.05, 0.1])
-        assert gv.stable
-        assert gv.settle_steps == settle_steps(F - np.outer(gv.k, C))
-        mats = assemble(build_grid(A, B, 65, 9))
-        gv = tuned_injection_gain(mats.F, mats.C_row, np.geomspace(1e-3, 1e3, 61))
-        assert not gv.stable and gv.settle_steps is None
-
-
-class TestTunedInjection:
-    def test_stable_diagonal_keeps_baseline(self):
-        F = 0.5 * np.eye(6)
-        C = np.zeros(6); C[2] = 1.0
-        gv = tuned_injection_gain(F, C, [0.01, 0.05, 0.1])
-        assert gv.spectral_radius <= 0.5 + 1e-12
-        assert gv.stable
-
-    def test_zero_scale_always_included(self):
-        F = np.diag([0.4, -0.2])
-        C = np.array([1.0, 0.0])
-        gv = tuned_injection_gain(F, C, [50.0, 100.0])
-        # the huge candidate scales only hurt; the zero baseline wins
-        assert gv.spectral_radius <= spectral_radius(F) + 1e-12
-
-    def test_single_nonzero_entry_at_observed_node(self):
-        g = build_grid(A, B, 33, 4)
-        mats = assemble(g)
-        gv = tuned_injection_gain(mats.F, mats.C_row, np.geomspace(1e-2, 10, 31))
-        nz = np.nonzero(gv.k)[0]
-        assert len(nz) <= 1
-        if len(nz) == 1:
-            assert nz[0] == g.ny - 1
-
-    def test_stiff_system_flagged_not_raised(self):
-        g = build_grid(A, B, 65, 9)
-        mats = assemble(g)
-        gv = tuned_injection_gain(mats.F, mats.C_row, np.geomspace(1e-3, 1e3, 61))
-        assert not gv.stable
-        assert gv.spectral_radius >= 1.0
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            tuned_injection_gain(np.eye(2), np.array([1.0, 0.0]), [])

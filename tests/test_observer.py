@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -6,9 +7,8 @@ import pytest
 from cauchy_observer import (CauchyData, GainVector, NonFiniteState, ObserverConfig,
                              ObserverProblem, TrigTerm, ackermann_gain, assemble,
                              build_grid, combo_example, error_bottom,
-                             make_cauchy_data, march_sweep, neumann_example,
-                             ring_poles, run, top_residual,
-                             tuned_injection_gain, uniform_poles)
+                             make_cauchy_data, neumann_example, ring_poles, run,
+                             top_residual, uniform_poles)
 
 A, B = 2 * np.pi, 0.5
 
@@ -107,11 +107,12 @@ class TestRun:
     def test_error_recursion_between_twin_runs(self):
         # two sweeps fed identical data differ exactly by powers of F - K C
         grid, mats, gain, _, data = standard_problem(65, 3)
+        problem = ObserverProblem(grid, data, mats, gain)
         rng = np.random.default_rng(1)
         i1 = rng.standard_normal((grid.nx, 2 * grid.ny))
         i2 = rng.standard_normal((grid.nx, 2 * grid.ny))
-        f1 = march_sweep(i1, mats, gain.k, data.f, data.g, 1e12)
-        f2 = march_sweep(i2, mats, gain.k, data.f, data.g, 1e12)
+        f1, _ = run(problem, ObserverConfig(initial_guess=i1, max_sweeps=1))
+        f2, _ = run(problem, ObserverConfig(initial_guess=i2, max_sweeps=1))
         M = mats.F - np.outer(gain.k, mats.C_row)
         diff = i1[-1] - i2[-1]
         worst = 0.0
@@ -121,25 +122,28 @@ class TestRun:
         assert worst <= 1e-10
 
     def test_unstable_gain_requires_override(self):
-        grid = build_grid(A, B, 65, 9)
-        mats = assemble(grid)
-        gain = tuned_injection_gain(mats.F, mats.C_row, np.geomspace(0.01, 10, 21))
-        assert not gain.stable
-        data = make_cauchy_data(neumann_example(A, B), grid)
-        problem = ObserverProblem(grid, data, mats, gain)
-        with pytest.raises(ValueError):
+        # no gain at all: the bare marching operator, which is unstable
+        grid, mats, gain, _, data = standard_problem()
+        radius = float(np.abs(np.linalg.eigvals(mats.F)).max())
+        unstable = GainVector(k=np.zeros(2 * grid.ny), method="none",
+                              spectral_radius=radius, stable=False,
+                              obs_condition=gain.obs_condition,
+                              pole_min=gain.pole_min, pole_max=gain.pole_max)
+        problem = ObserverProblem(grid, data, mats, unstable)
+        with pytest.raises(ValueError, match="not certified stable"):
             run(problem, ObserverConfig())
 
     def test_divergence_guard_raises(self):
-        grid = build_grid(A, B, 65, 9)
-        mats = assemble(grid)
-        gain = tuned_injection_gain(mats.F, mats.C_row, np.geomspace(0.01, 10, 21))
-        data = make_cauchy_data(neumann_example(A, B), grid)
+        # the certified 65x5 ring gain settles only after W = 87 >= 64
+        # steps, so the run starts from zero; sweep 1 peaks near 1.3e5
+        grid, mats, gain, _, data = standard_problem(65, 5, "ring")
+        assert gain.settle_steps >= grid.nx - 1
         problem = ObserverProblem(grid, data, mats, gain)
+        guard = 1e4
         with pytest.raises(NonFiniteState) as excinfo:
-            run(problem, ObserverConfig(allow_uncertified_gain=True))
+            run(problem, ObserverConfig(guard=guard))
         # per-step reference march of the first sweep from the zero guess
-        ny, k, guard = grid.ny, gain.k, 1e12
+        ny, k = grid.ny, gain.k
         s = np.zeros(2 * ny)
         first_out = None
         for n in range(grid.nx - 1):
@@ -155,30 +159,20 @@ class TestRun:
 
     def test_gain_length_validated(self):
         grid, mats, gain, _, data = standard_problem()
-        short = GainVector(k=gain.k[:-1], method=gain.method,
-                           spectral_radius=gain.spectral_radius,
-                           stable=gain.stable)
+        short = dataclasses.replace(gain, k=gain.k[:-1])
         with pytest.raises(ValueError):
             ObserverProblem(grid, data, mats, short)
-
-    def test_ghost_closure_diverges_on_standard_grid(self):
-        # the per-step ghost feedback rewrites the bottom du/dx row of the
-        # marching operator, so the placed spectrum no longer governs the
-        # sweep; on the standard grid the iteration blows up
-        grid = build_grid(A, B, 65, 5)
-        mats = assemble(grid, bottom_closure="ghost")
-        gain = ackermann_gain(mats.F, mats.C_row, ring_poles(10, 0.55))
-        assert gain.stable   # the certificate holds, the feedback loop does not
-        data = make_cauchy_data(neumann_example(A, B), grid)
-        problem = ObserverProblem(grid, data, mats, gain)
-        with pytest.raises(NonFiniteState):
-            run(problem, ObserverConfig())
 
     def test_data_length_validated(self):
         grid, mats, gain, _, _ = standard_problem()
         bad = CauchyData(f=np.zeros(grid.nx - 1), g=np.zeros(grid.nx - 1))
         with pytest.raises(ValueError):
             ObserverProblem(grid, bad, mats, gain)
+
+    @pytest.mark.parametrize("guard", [0.0, -1.0, float("nan")])
+    def test_non_positive_guard_rejected(self, guard):
+        with pytest.raises(ValueError, match="guard"):
+            ObserverConfig(guard=guard)
 
     def test_bad_initial_guess_shape(self):
         grid, mats, gain, _, data = standard_problem()
@@ -193,19 +187,14 @@ WINDOW = [(129, 5, 1)] + [(nx, ny, k) for nx, ny in ((257, 5), (385, 5),
                                                     (257, 6), (513, 3),
                                                     (1025, 3), (2049, 3))
                           for k in (1, 2)]
-# runs that must not trip the guard even while diverging
-UNGUARDED = dict(max_sweeps=3, tol=0.0, guard=1e300,
-                 allow_uncertified_gain=True)
+# runs that must not trip the guard even while far from the fixed point
+UNGUARDED = dict(max_sweeps=3, tol=0.0, guard=1e300)
 
 
-def window_problem(nx, ny, k, parity, closure="one_sided", gain="ring"):
+def window_problem(nx, ny, k, parity):
     grid = build_grid(A, B, nx, ny)
-    mats = assemble(grid, bottom_closure=closure)
-    if gain == "ring":
-        gv = ackermann_gain(mats.F, mats.C_row, ring_poles(2 * ny, 0.55))
-    else:
-        gv = tuned_injection_gain(mats.F, mats.C_row,
-                                  np.geomspace(1e-3, 1e3, 241))
+    mats = assemble(grid)
+    gv = ackermann_gain(mats.F, mats.C_row, ring_poles(2 * ny, 0.55))
     sol = combo_example([TrigTerm(k, 1.0, parity)], A, B)
     return ObserverProblem(grid, make_cauchy_data(sol, grid), mats, gv), sol
 
@@ -224,18 +213,16 @@ class TestWarmStart:
         err, cold_err = report.bottom_errors[-1], cold.bottom_errors[-1]
         assert abs(err - cold_err) <= 1e-5 * cold_err
 
-    @pytest.mark.parametrize("case", ["ghost", "tuned", "unsettled"])
+    @pytest.mark.parametrize("case", ["unsettled", "uncertified"])
     def test_zero_start_without_usable_certificate(self, case):
-        if case == "ghost":
-            # certified, but the ghost march does not use the certified M
-            problem, _ = window_problem(257, 5, 1, "cos", closure="ghost")
-            assert problem.gain.settle_steps < problem.grid.nx - 1
-        elif case == "tuned":
-            problem, _ = window_problem(129, 3, 1, "cos", gain="tuned")
-            assert problem.gain.settle_steps is None
-        else:
+        if case == "unsettled":
             problem, _ = window_problem(65, 5, 1, "cos")
             assert problem.gain.settle_steps >= problem.grid.nx - 1
+        else:
+            # a stable gain that carries no settling certificate
+            problem, _ = window_problem(257, 5, 1, "cos")
+            problem = dataclasses.replace(problem, gain=dataclasses.replace(
+                problem.gain, settle_steps=None))
         grid = problem.grid
         field, report = run(problem, ObserverConfig(**UNGUARDED))
         zero_field, zero = run(problem, ObserverConfig(
@@ -244,17 +231,17 @@ class TestWarmStart:
         assert np.array_equal(field, zero_field)
         assert report.top_residuals == zero.top_residuals
 
-    @pytest.mark.parametrize("closure", ["one_sided", "ghost"])
-    def test_explicit_guess_chains_march_sweep(self, closure):
-        problem, _ = window_problem(129, 3, 1, "sin", closure=closure)
-        grid, data = problem.grid, problem.cauchy
+    def test_explicit_guess_chains_single_sweeps(self):
+        problem, _ = window_problem(129, 3, 1, "sin")
+        grid = problem.grid
         guess = np.random.default_rng(3).standard_normal((grid.nx, 2 * grid.ny))
         field, report = run(problem, ObserverConfig(initial_guess=guess,
                                                     **UNGUARDED))
         expected = guess
         for _ in range(UNGUARDED["max_sweeps"]):
-            expected = march_sweep(expected, problem.mats, problem.gain.k,
-                                   data.f, data.g, UNGUARDED["guard"])
+            expected, _ = run(problem, ObserverConfig(
+                initial_guess=expected, max_sweeps=1,
+                guard=UNGUARDED["guard"]))
         assert report.warmup_steps == 0 and report.sweeps == 3
         assert np.array_equal(field, expected)
 
