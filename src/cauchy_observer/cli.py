@@ -273,17 +273,15 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    G = spectral.gram_matrix(modes)
+    xs = (0.0, 0.1, 0.5)
+    G, resid, bounds = spectral.diagnostics(modes, xs)
     gram_err = np.abs(G - np.eye(len(G))).max(axis=1)
-    resid = spectral.eigen_residual(modes)
     rows = [[m.n, m.lam, m.rho, err, res] for m, err, res
             in zip(modes.modes(), gram_err.tolist(), resid.tolist())]
     all_ok = not (gram_err > 1e-6).any()
     write_csv(out / "spectral.csv",
               ["n", "lambda", "rho", "gram_err", "eigen_residual"], rows)
 
-    xs = (0.0, 0.1, 0.5)
-    bounds = spectral.observability_lower_bound(modes, xs)
     if not (bounds > 0.0).all():
         all_ok = False
     write_csv(out / "observability.csv", ["x", "lower_bound"],

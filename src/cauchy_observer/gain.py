@@ -88,13 +88,13 @@ class GainVector:
     settle_steps: Optional[int] = None   # see settle_steps(); None: none certified
 
 
-def observability_matrix(F: np.ndarray, C_row: np.ndarray) -> np.ndarray:
-    """Rows C, C F, C F^2, ..., C F^(n-1)."""
-    F = np.asarray(F, dtype=float)
-    C = np.asarray(C_row, dtype=float).ravel()
+def observability_matrix(F: np.ndarray, C_row: np.ndarray,
+                         dtype=float) -> np.ndarray:
+    """Rows C, C F, C F^2, ..., C F^(n-1), computed in ``dtype``."""
+    F = np.asarray(F, dtype=dtype)
+    row = np.asarray(C_row, dtype=dtype).ravel()
     n = F.shape[0]
-    O = np.empty((n, n))
-    row = C.copy()
+    O = np.empty((n, n), dtype=dtype)
     for i in range(n):
         O[i] = row
         row = row @ F
@@ -206,11 +206,7 @@ def ackermann_gain(F: np.ndarray, C_row: np.ndarray, spec: PoleSpec,
 
     ld = np.longdouble
     Fw = F.astype(ld)
-    Ow = np.empty((n, n), dtype=ld)
-    row = C.astype(ld)
-    for i in range(n):
-        Ow[i] = row
-        row = row @ Fw
+    Ow = observability_matrix(F, C, ld)
     coeffs = _real_poly_from_poles(spec.poles, ld)
     Q = np.zeros_like(Fw)
     eye = np.eye(n, dtype=ld)
@@ -218,7 +214,7 @@ def ackermann_gain(F: np.ndarray, C_row: np.ndarray, spec: PoleSpec,
         Q = Q @ Fw + c * eye
     e_last = np.zeros(n, dtype=ld)
     e_last[-1] = 1.0
-    z = _solve_extended(Ow.copy(), e_last)
+    z = _solve_extended(Ow, e_last)
     k = np.asarray(Q @ z, dtype=float)
 
     M = F - np.outer(k, C)

@@ -13,20 +13,33 @@ Within a sweep every step is the affine recursion
 built once per run by ``discrete_ops.sweep_form``; the divergence guard is
 checked once over each marched stretch.  A sweep depends on the previous
 one only through its final line, so the whole sweep map is a strict
-contraction whenever the gain certificate holds, and two runs fed the same
-data differ exactly by powers of M applied to the difference of their
-starting lines.  ``run`` refuses a gain without that certificate.
+contraction whenever the gain certificate holds.  ``run`` refuses a gain
+without that certificate.
 
 Warm start.  With N = nx - 1 steps per sweep, the periodic fixed point's
 start line is  x*_0 = c_W + M^W x*_{N-W}  for any W <= N, where c_W is the
 state reached by marching only the last W steps of the data from rest.  A
 gain whose settling certificate W = ``GainVector.settle_steps`` is below N
 has ||M^W||_2 <= 2**-52, so the second term is under one rounding unit of
-the field.  A run without an initial guess therefore marches those W
-warm-up steps first and starts its first stored sweep from c_W, which makes
+the field.  A run without an initial guess therefore leads its first sweep
+in with those W warm-up steps and starts the sweep from c_W, which makes
 that sweep the fixed point.  In every other case the start line is zero.
 ``converged_at`` counts stored sweeps only; the warm-up is reported as
 ``SweepReport.warmup_steps``.
+
+Lockstep window.  By the same certificate, a state of a march depends,
+to about one rounding unit, only on the W inputs before it.  So when W < N
+a sweep's states are cut into blocks of 16 to 31.  Block 0 marches from the
+start line (after the warm-up, if any) and is exact.  Every later block
+marches from rest over the W inputs before its own states, so its state j
+drops M^(W+j) times one earlier state: the term the warm-up already leaves
+in sweep state j, at most ||M^j||_2 * 2**-52 of that state.  All blocks
+advance together as one matrix product per step, so a sweep, warm-up
+included, costs W + L interpreter steps (L <= 31) instead of W + N.  Two
+runs with different start lines therefore agree bit for bit past the first
+block, where a plain march leaves them M^q times the difference of their
+start lines apart.  When W >= N, or no W is certified, there is one block:
+the plain per-step march.
 """
 
 import warnings
@@ -72,7 +85,7 @@ class ObserverConfig:
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
-        if self.tol is not None and self.tol < 0.0:
+        if self.tol is not None and not self.tol >= 0.0:
             raise ValueError("tol must be nonnegative")
         if not self.guard > 0.0:
             raise ValueError("guard must be positive")
@@ -131,26 +144,64 @@ def error_bottom(field: np.ndarray, reference: np.ndarray, dx: float) -> float:
     return err / ref_norm
 
 
-def _march(x0: np.ndarray, M: np.ndarray, U: np.ndarray, guard: float,
-           stage: str = "sweep") -> np.ndarray:
-    """States x0, M @ x0 + U[0], ...: one row per step after the first.
+# nominal states per block of the windowed march; _march rounds it up (to
+# at most 31) so that whole blocks cover the sweep
+_BLOCK = 16
 
-    Raises NonFiniteState, naming the first offending ``stage`` step, when
-    any marched state leaves the guard ball or is not finite.
+
+def _march(x0: np.ndarray, M: np.ndarray, V: np.ndarray, lead: int,
+           window: Optional[int], guard: float) -> np.ndarray:
+    """States s_lead, ..., s_T of s_0 = x0, s_{t+1} = M @ s_t + V[t].
+
+    T = len(V).  The first ``lead`` rows of V are a warm-up and the rest one
+    sweep.  When ``window`` (a W with ||M^W||_2 <= 2**-52) is below the
+    sweep's step count, the states are cut into blocks that march W + L
+    steps in lockstep, one M @ (n, blocks) product per step.  Block 0
+    marches from s_0 and is exact; every later block marches from rest over
+    the W inputs before its own L states, so its state j drops M^(W + j)
+    times one earlier state.  Otherwise the one block is the plain march.
+
+    Raises NonFiniteState, naming the first offending warm-up or sweep step,
+    when any state s_1, ..., s_T leaves the guard ball or is not finite.
     """
-    cur = np.empty((len(U) + 1, len(x0)))
-    x = cur[0] = x0
+    steps, n = V.shape
+    span = per = steps              # one block of every step
+    if window is not None and window < steps - lead:
+        states = steps - lead + 1
+        per = -(-states // max(1, states // _BLOCK))
+        span = min(window + per, steps)
+    later = -(-(steps - span) // per)
+    # S[j, :, b] holds block b's input j, then its state j + 1.  Block 0
+    # reads V[:span]; later block b reads the span rows ending at
+    # T - (later - b) * per, gathered through one strided view of V
+    S = np.empty((span, n, later + 1))
+    S[:, :, 0] = V[:span]
+    row, col = V.strides
+    S[:, :, 1:] = np.ndarray((span, n, later), V.dtype, V,
+                             (steps - span - (later - 1) * per) * row,
+                             (row, col, per * row))
+    X = np.zeros((n, later + 1))
+    X[:, 0] = x0
+    traj = np.empty((steps + 1, n))
+    traj[0] = x0
     # a diverging march may overflow before the guard is checked below;
-    # M.dot(x) gives the same bits as M @ x with less call overhead per step
+    # M.dot on one block gives the bits of a per-step M.dot(x) + u
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, u in enumerate(U, 1):
-            x = cur[n] = M.dot(x) + u
-        outside = ~(np.abs(cur[1:]) <= guard).all(axis=1)
+        for Sj in S:
+            Sj += M.dot(X)
+            X = Sj
+        # later blocks keep their last per states; block 0, exact, is
+        # written last over any overlap with block 1
+        traj[steps + 1 - later * per:].reshape(later, per, n)[...] = (
+            S[span - per:, :, 1:].transpose(2, 0, 1))
+        traj[1:span + 1] = S[:, :, 0]
+        outside = ~(np.abs(traj[1:]) <= guard).all(axis=1)
     if outside.any():
-        raise NonFiniteState(
-            f"divergence guard tripped at {stage} step {outside.argmax() + 1}: "
-            f"state magnitude exceeded {guard:.1e}")
-    return cur
+        t = int(outside.argmax()) + 1
+        where = f"warm-up step {t}" if t <= lead else f"sweep step {t - lead}"
+        raise NonFiniteState(f"divergence guard tripped at {where}: "
+                             f"state magnitude exceeded {guard:.1e}")
+    return traj[lead:]
 
 
 def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None,
@@ -176,27 +227,29 @@ def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None,
         tol = 1e-6 * discrete_l2(f, grid.dx)
     M, U = sweep_form(problem.mats, problem.gain.k, f, problem.cauchy.g)
     report = SweepReport()
+    window = problem.gain.settle_steps
+    lead = 0
     if config.initial_guess is None:
-        prev = np.zeros((grid.nx, 2 * ny))
-        warmup = problem.gain.settle_steps
-        if warmup is not None and warmup < steps:
-            prev[-1] = _march(prev[-1], M, U[steps - warmup:], config.guard,
-                              "warm-up")[-1]
-            report.warmup_steps = warmup
+        start = np.zeros(2 * ny)
+        if window is not None and window < steps:
+            lead = report.warmup_steps = window
     else:
-        prev = np.asarray(config.initial_guess, dtype=float).copy()
-        if prev.shape != (grid.nx, 2 * ny):
+        guess = np.asarray(config.initial_guess, dtype=float)
+        if guess.shape != (grid.nx, 2 * ny):
             raise ValueError("initial guess must have shape (nx, 2*ny)")
+        start = guess[-1]
     ref_trace = bottom_trace(reference, grid) if reference is not None else None
 
+    # sweep 1 is led in by the warm-up, the last `lead` data rows
+    V = np.concatenate([U[steps - lead:], U])
     for sweep in range(1, config.max_sweeps + 1):
-        cur = _march(prev[-1], M, U, config.guard)
+        cur = _march(start, M, V, lead, window, config.guard)
+        start, V, lead = cur[-1], U, 0
         res = top_residual(cur, f, grid.dx)
         report.top_residuals.append(res)
         if ref_trace is not None:
             report.bottom_errors.append(error_bottom(cur, ref_trace, grid.dx))
-        prev = cur
         if res <= tol:
             report.converged_at = sweep
             break
-    return prev, report
+    return cur, report

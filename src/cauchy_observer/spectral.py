@@ -22,7 +22,9 @@ Each public diagnostic samples the mode family once per call, as whole
 (modes x nodes) arrays of the first components and their analytic
 derivatives, and computes on those arrays: the Gram matrix is two matrix
 products, the propagator two matrix-vector products for the coefficients and
-three for the output.  Nothing is cached between calls.  The observability
+three for the output.  ``diagnostics`` serves the ``diagnose`` command's
+Gram matrix, eigen residuals and bounds from one sampling, which none of
+them alters.  Nothing is cached between calls.  The observability
 lower bound is sum_n (exp(lam_n x) * G_nn)^2 with G_nn the Gram diagonal,
 which equals sum_n exp(2 lam_n x) to round-off.
 
@@ -193,17 +195,20 @@ def inner_product(p: FunctionPair, q: FunctionPair) -> float:
     return w @ (_derivative(p, h) * _derivative(q, h)) + w @ (p.p2 * q.p2)
 
 
+def _gram(lam, p1, dp1):
+    root_w = np.sqrt(_trapezoid_weights(p1.shape[1]))
+    p1 = p1 * root_w
+    dp1 = dp1 * root_w
+    return dp1 @ dp1.T + np.outer(lam, lam) * (p1 @ p1.T)
+
+
 def gram_matrix(modes: ModeSet) -> np.ndarray:
     """Pairwise inner products of the normalized mode pairs.
 
     With every row scaled by the square root of the trapezoid weights the
     pairing is ``dP1 dP1^T + (lam lam^T) * (P1 P1^T)``.
     """
-    lam, p1, dp1 = _sample_rows(modes)
-    root_w = np.sqrt(_trapezoid_weights(modes.quadrature))
-    p1 *= root_w
-    dp1 *= root_w
-    return dp1 @ dp1.T + np.outer(lam, lam) * (p1 @ p1.T)
+    return _gram(*_sample_rows(modes))
 
 
 def semigroup_apply(f: FunctionPair, x: float, modes: ModeSet) -> FunctionPair:
@@ -230,6 +235,16 @@ def observation(f: FunctionPair) -> float:
     return float(f.p1[0])
 
 
+def _obs_bound(lam, p1, dp1, x):
+    x = np.asarray(x, dtype=float)
+    if (x < 0.0).any():
+        raise ValueError("x must be nonnegative")
+    w = _trapezoid_weights(p1.shape[1])
+    diag = np.square(dp1) @ w + lam * lam * (np.square(p1) @ w)
+    total = np.square(np.exp(np.multiply.outer(x, lam)) * diag).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
 def observability_lower_bound(modes: ModeSet, x):
     """Sum over the mode set of (exp(lam_n x) * G_nn)^2.
 
@@ -239,16 +254,22 @@ def observability_lower_bound(modes: ModeSet, x):
     and grows monotonically as modes are added.  ``x`` is a distance or an
     array of distances; a scalar gives a float, an array one bound per entry.
     """
-    x = np.asarray(x, dtype=float)
-    if (x < 0.0).any():
-        raise ValueError("x must be nonnegative")
-    lam, p1, dp1 = _sample_rows(modes)
-    w = _trapezoid_weights(modes.quadrature)
-    p1 *= p1
-    dp1 *= dp1
-    diag = dp1 @ w + lam * lam * (p1 @ w)
-    total = np.square(np.exp(np.multiply.outer(x, lam)) * diag).sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
+    return _obs_bound(*_sample_rows(modes), x)
+
+
+def _eigen_residual(lam, p1):
+    h = ANALYSIS_LENGTH / (p1.shape[1] - 1)
+    # -(p1[2:] - 2 p1[1:-1] + p1[:-2]) / h^2 - lam * (lam * p1[1:-1]), built
+    # with the rounding of the one-mode formula, so each residual is
+    # bit-identical to sampling that mode alone
+    row2 = p1[:, 1:-1] * -2.0
+    row2 += p1[:, 2:]
+    row2 += p1[:, :-2]
+    row2 /= -h * h
+    inner = p1[:, 1:-1] * lam[:, None]
+    inner *= lam[:, None]
+    row2 -= inner
+    return np.abs(row2, out=row2).max(axis=1)
 
 
 def eigen_residual(modes: ModeSet) -> np.ndarray:
@@ -261,16 +282,13 @@ def eigen_residual(modes: ModeSet) -> np.ndarray:
     ``-D2 p1 - lam * p2``, which shrinks at second order in the node spacing.
     """
     lam, p1, _ = _sample_rows(modes, derivative=False)
-    h = ANALYSIS_LENGTH / (modes.quadrature - 1)
-    # -(p1[2:] - 2 p1[1:-1] + p1[:-2]) / h^2 - lam * (lam * p1[1:-1]), built
-    # in place with the rounding of the one-mode formula, so each residual is
-    # bit-identical to sampling that mode alone
-    row2 = p1[:, 1:-1] * -2.0
-    row2 += p1[:, 2:]
-    row2 += p1[:, :-2]
-    row2 /= -h * h
-    inner = p1[:, 1:-1]
-    inner *= lam[:, None]
-    inner *= lam[:, None]
-    row2 -= inner
-    return np.abs(row2, out=row2).max(axis=1)
+    return _eigen_residual(lam, p1)
+
+
+def diagnostics(modes: ModeSet, x):
+    """``gram_matrix(modes)``, ``eigen_residual(modes)`` and
+    ``observability_lower_bound(modes, x)``, bit for bit, from one sampling
+    of the mode set."""
+    lam, p1, dp1 = _sample_rows(modes)
+    return (_gram(lam, p1, dp1), _eigen_residual(lam, p1),
+            _obs_bound(lam, p1, dp1, x))

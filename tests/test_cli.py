@@ -131,7 +131,9 @@ class TestSolve:
         ["--pole_layout", "uniform", "--pole_min", "-5", "--pole_max", "0.9"],
         ["--guard", "-1"],
         ["--guard", "nan"],
-    ], ids=["max_sweeps", "ring_radius", "uniform_poles", "guard", "guard_nan"])
+        ["--tol", "nan"],
+    ], ids=["max_sweeps", "ring_radius", "uniform_poles", "guard", "guard_nan",
+            "tol_nan"])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys,
                                                override):
         out = tmp_path / "run9"

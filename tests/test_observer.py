@@ -6,9 +6,10 @@ import pytest
 
 from cauchy_observer import (CauchyData, GainVector, NonFiniteState, ObserverConfig,
                              ObserverProblem, TrigTerm, ackermann_gain, assemble,
-                             build_grid, combo_example, error_bottom,
-                             make_cauchy_data, neumann_example, ring_poles, run,
-                             top_residual, uniform_poles)
+                             bottom_trace, build_grid, combo_example,
+                             error_bottom, make_cauchy_data, neumann_example,
+                             ring_poles, run, sweep_form, top_residual,
+                             uniform_poles)
 
 A, B = 2 * np.pi, 0.5
 
@@ -174,6 +175,10 @@ class TestRun:
         with pytest.raises(ValueError, match="guard"):
             ObserverConfig(guard=guard)
 
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ValueError, match="tol"):
+            ObserverConfig(tol=float("nan"))
+
     def test_bad_initial_guess_shape(self):
         grid, mats, gain, _, data = standard_problem()
         problem = ObserverProblem(grid, data, mats, gain)
@@ -199,6 +204,18 @@ def window_problem(nx, ny, k, parity):
     return ObserverProblem(grid, make_cauchy_data(sol, grid), mats, gv), sol
 
 
+def unwindowed_problem(case):
+    """A certified gain whose settling certificate is no use to a sweep."""
+    if case == "unsettled":
+        problem, _ = window_problem(65, 5, 1, "cos")
+        assert problem.gain.settle_steps >= problem.grid.nx - 1
+        return problem
+    # a stable gain that carries no settling certificate
+    problem, _ = window_problem(257, 5, 1, "cos")
+    return dataclasses.replace(problem, gain=dataclasses.replace(
+        problem.gain, settle_steps=None))
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("parity", ["cos", "sin"])
     @pytest.mark.parametrize("nx,ny,k", WINDOW)
@@ -215,14 +232,7 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("case", ["unsettled", "uncertified"])
     def test_zero_start_without_usable_certificate(self, case):
-        if case == "unsettled":
-            problem, _ = window_problem(65, 5, 1, "cos")
-            assert problem.gain.settle_steps >= problem.grid.nx - 1
-        else:
-            # a stable gain that carries no settling certificate
-            problem, _ = window_problem(257, 5, 1, "cos")
-            problem = dataclasses.replace(problem, gain=dataclasses.replace(
-                problem.gain, settle_steps=None))
+        problem = unwindowed_problem(case)
         grid = problem.grid
         field, report = run(problem, ObserverConfig(**UNGUARDED))
         zero_field, zero = run(problem, ObserverConfig(
@@ -266,3 +276,87 @@ class TestWarmStart:
         assert first_out is not None and first_out > 1
         named = int(re.search(r"warm-up step (\d+)", str(excinfo.value)).group(1))
         assert named == first_out
+
+
+def per_step_march(M, V, x0, dtype=float):
+    """States x0, M x0 + V[0], ..., one M.dot(x) + v per step in dtype."""
+    M = M.astype(dtype)
+    out = np.empty((len(V) + 1, len(M)), dtype=dtype)
+    x = out[0] = x0
+    for n, v in enumerate(V.astype(dtype), 1):
+        x = out[n] = M.dot(x) + v
+    return out
+
+
+def affine_form(problem):
+    return sweep_form(problem.mats, problem.gain.k, problem.cauchy.f,
+                      problem.cauchy.g)
+
+
+class TestWindowedMarch:
+    @pytest.mark.parametrize("parity", ["cos", "sin"])
+    @pytest.mark.parametrize("nx,ny,k", WINDOW)
+    def test_accuracy_against_long_double_march(self, nx, ny, k, parity):
+        problem, sol = window_problem(nx, ny, k, parity)
+        W = problem.gain.settle_steps
+        assert W < nx - 1
+        field, report = run(problem, reference=sol)
+        # per-step references of the same warm-up and sweep from rest
+        M, U = affine_form(problem)
+        V = np.concatenate([U[nx - 1 - W:], U])
+        x0 = np.zeros(2 * ny)
+        exact = per_step_march(M, V, x0, np.longdouble)[W:, 0]
+        plain = per_step_march(M, V, x0)[W:, 0]
+        scale = np.abs(exact).max()
+        windowed_dev = float(np.abs(field[:, 0] - exact).max() / scale)
+        plain_dev = float(np.abs(plain - exact).max() / scale)
+        assert windowed_dev <= 1.5 * plain_dev
+        plain_err = error_bottom(plain[:, None], bottom_trace(sol, problem.grid),
+                                 problem.grid.dx)
+        assert abs(report.bottom_errors[-1] - plain_err) <= 1e-5 * plain_err
+
+    def test_guard_names_a_step_in_a_late_block(self):
+        # data vanish outside nodes 1400..1700, so the warm-up and the first
+        # 1400 states are zero and the guard first trips in a late block
+        problem, _ = window_problem(2049, 3, 1, "cos")
+        grid = problem.grid
+        f = np.zeros(grid.nx)
+        f[1400:1701] = np.sin(np.linspace(0.0, np.pi, 301)) ** 2
+        problem = dataclasses.replace(
+            problem, cauchy=CauchyData(f=f, g=np.zeros(grid.nx)))
+        M, U = affine_form(problem)
+        size = np.abs(per_step_march(M, U, np.zeros(2 * grid.ny))).max(axis=1)
+        first_out = int((size > 0.5 * size.max()).argmax())
+        assert first_out > 1000
+        # halfway between the last state inside and the first one outside
+        guard = 0.5 * (size[first_out - 1] + size[first_out])
+        with pytest.raises(NonFiniteState) as excinfo:
+            run(problem, ObserverConfig(guard=guard))
+        named = int(re.search(r"sweep step (\d+)", str(excinfo.value)).group(1))
+        assert named == first_out
+
+    @pytest.mark.parametrize("guess", [False, True], ids=["zero", "guess"])
+    @pytest.mark.parametrize("case", ["unsettled", "uncertified"])
+    def test_one_block_is_the_plain_march(self, case, guess):
+        problem = unwindowed_problem(case)
+        grid = problem.grid
+        start = np.zeros((grid.nx, 2 * grid.ny))
+        if guess:
+            start = np.random.default_rng(4).standard_normal(start.shape)
+        field, _ = run(problem, ObserverConfig(
+            initial_guess=start if guess else None, max_sweeps=1,
+            guard=UNGUARDED["guard"]))
+        M, U = affine_form(problem)
+        assert np.array_equal(field, per_step_march(M, U, start[-1]))
+
+    def test_start_line_forgotten_past_the_first_block(self):
+        # the first block marches at most W + 31 steps from the start line;
+        # every later block starts from rest W steps before its own states
+        problem, _ = window_problem(257, 5, 1, "cos")
+        grid, W = problem.grid, problem.gain.settle_steps
+        rng = np.random.default_rng(5)
+        f1, f2 = (run(problem, ObserverConfig(
+            initial_guess=rng.standard_normal((grid.nx, 2 * grid.ny)),
+            max_sweeps=1))[0] for _ in range(2))
+        assert not np.array_equal(f1[1], f2[1])
+        assert np.array_equal(f1[W + 32:], f2[W + 32:])

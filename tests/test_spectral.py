@@ -3,10 +3,11 @@ import pytest
 
 from cauchy_observer.spectral import (ANALYSIS_LENGTH, MODE_AMPLITUDE,
                                       EigenMode, FunctionPair, ModeSet,
-                                      default_mode_set, eigen_residual,
-                                      eval_mode, gram_matrix, inner_product,
-                                      observability_lower_bound, observation,
-                                      sample_mode, semigroup_apply, zero_pair)
+                                      default_mode_set, diagnostics,
+                                      eigen_residual, eval_mode, gram_matrix,
+                                      inner_product, observability_lower_bound,
+                                      observation, sample_mode,
+                                      semigroup_apply, zero_pair)
 
 
 def combination(indices, quadrature, weights=None):
@@ -261,6 +262,15 @@ class TestAgainstPerModeReference:
         lam = np.array([m.lam for m in ms.modes()])
         closed = np.exp(2.0 * np.multiply.outer(xs, lam)).sum(axis=1)
         assert np.abs(bounds / closed - 1.0).max() <= 1e-12
+
+    @reference_sets
+    def test_diagnostics_match_the_separate_calls(self, ms):
+        # one sampling serves all three; none of them may alter it
+        xs = (0.0, 0.1, 0.5)
+        gram, resid, bounds = diagnostics(ms, xs)
+        assert np.array_equal(gram, gram_matrix(ms))
+        assert np.array_equal(resid, eigen_residual(ms))
+        assert np.array_equal(bounds, observability_lower_bound(ms, xs))
 
     def test_scalar_bound_is_float(self):
         assert type(observability_lower_bound(ModeSet((0, 1), 101), 0.1)) is float
