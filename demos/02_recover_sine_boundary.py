@@ -23,8 +23,8 @@ gain = co.ackermann_gain(mats.F, mats.C_row, co.ring_poles(2 * grid.ny, 0.55))
 field, report = co.run(co.ObserverProblem(grid, data, mats, gain),
                        co.ObserverConfig(), reference=solution)
 
-print(f"converged at sweep {report.converged_at}")
-print(f"bottom-trace error: {report.bottom_errors[-1]:.3%}")
+print(f"periodicity defect: {report.periodicity_defect:.1e}")
+print(f"bottom-trace error: {report.bottom_error:.3%}")
 
 # the recovered trace should be sin(2x); check a few landmark points
 for frac, label in ((0.125, "x = pi/4"), (0.25, "x = pi/2"), (0.375, "x = 3pi/4")):

@@ -41,9 +41,8 @@ for nx in (65, 129, 257):
             continue
         problem = co.ObserverProblem(grid, data, mats, gain)
         try:
-            field, rep = co.run(problem, co.ObserverConfig(max_sweeps=120),
-                                reference=solution)
-            err = rep.bottom_errors[-1]
+            field, rep = co.run(problem, reference=solution)
+            err = rep.bottom_error
             outcome = f"bottom error {err:.2%}"
         except co.NonFiniteState:
             outcome = "diverged (guard tripped)"

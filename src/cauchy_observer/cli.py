@@ -6,8 +6,11 @@ formatting (17 significant digits, comma separator, LF line endings) so that
 identical runs produce byte-identical artifacts, plus a gnuplot script that
 renders them.
 
-Exit codes: 0 converged, 1 runtime failure, 2 finished without reaching the
-residual tolerance, 64 bad usage or configuration.
+Exit codes: 0 success, 1 runtime failure, 64 bad usage or configuration.
+Code 2 (no convergence within ``max_sweeps``) is retired: a run is one sweep
+on the periodic fixed point, and a gain that cannot give one is refused
+with code 1.  Usage and configuration errors are found before the output
+directory is created.
 """
 
 import argparse
@@ -21,8 +24,8 @@ import numpy as np
 
 from . import spectral
 from .discrete_ops import assemble
-from .gain import (ObservabilityDeficient, PlacementFailed, ackermann_gain,
-                   ring_poles, uniform_poles)
+from .gain import (ObservabilityDeficient, PlacementFailed, PoleSpec,
+                   ackermann_gain, ring_poles, uniform_poles)
 from .grid import build_grid
 from .observer import NonFiniteState, ObserverConfig, ObserverProblem, run
 from .reference import (ReferenceSolution, TrigTerm, bottom_trace,
@@ -31,7 +34,6 @@ from .reference import (ReferenceSolution, TrigTerm, bottom_trace,
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
-EXIT_NO_CONVERGENCE = 2
 EXIT_USAGE = 64
 
 
@@ -46,8 +48,6 @@ class RunConfig:
     pole_layout: str = "ring"           # ring | uniform
     pole_min: float = 0.3
     pole_max: float = 0.8
-    max_sweeps: int = 500
-    tol: float = -1.0                   # < 0: default 1e-6 * ||f||
     guard: float = 1e12
     modes_min: int = -4
     modes_max: int = 8
@@ -76,8 +76,7 @@ def parse_config(path: Optional[str], overrides: List[str]) -> RunConfig:
     types = {"example": str, "terms": str, "pole_layout": str,
              "output_dir": str,
              "a": float, "b": float, "pole_min": float, "pole_max": float,
-             "tol": float, "guard": float,
-             "nx": int, "ny": int, "max_sweeps": int,
+             "guard": float, "nx": int, "ny": int,
              "modes_min": int, "modes_max": int, "quadrature": int}
 
     def apply(key: str, value: str):
@@ -187,38 +186,35 @@ plot 'history.csv' using 1:2 with linespoints, \\
 """
 
 
-def _design_gain(cfg: RunConfig, mats):
+def _pole_spec(cfg: RunConfig) -> PoleSpec:
     n = 2 * cfg.ny
     if not (cfg.pole_min < cfg.pole_max < 1.0):
         raise ConfigError("poles must satisfy pole_min < pole_max < 1")
     try:
         if cfg.pole_layout == "uniform":
-            spec = uniform_poles(n, cfg.pole_min, cfg.pole_max)
-        elif cfg.pole_layout == "ring":
-            spec = ring_poles(n, 0.5 * (cfg.pole_min + cfg.pole_max))
-        else:
-            raise ConfigError(f"unknown pole layout {cfg.pole_layout!r}")
+            return uniform_poles(n, cfg.pole_min, cfg.pole_max)
+        if cfg.pole_layout == "ring":
+            return ring_poles(n, 0.5 * (cfg.pole_min + cfg.pole_max))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ackermann_gain(mats.F, mats.C_row, spec)
+    raise ConfigError(f"unknown pole layout {cfg.pole_layout!r}")
 
 
 def cmd_solve(cfg: RunConfig) -> int:
     try:
         grid = build_grid(cfg.a, cfg.b, cfg.nx, cfg.ny)
-        config = ObserverConfig(max_sweeps=cfg.max_sweeps,
-                                tol=None if cfg.tol < 0 else cfg.tol,
-                                guard=cfg.guard)
+        config = ObserverConfig(guard=cfg.guard)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    sol = _reference_for(cfg)
+    spec = _pole_spec(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sol = _reference_for(cfg)
     cauchy = make_cauchy_data(sol, grid)
     mats = assemble(grid)
     try:
-        gain = _design_gain(cfg, mats)
+        gain = ackermann_gain(mats.F, mats.C_row, spec)
     except (ObservabilityDeficient, PlacementFailed) as exc:
         print(f"gain design failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -243,27 +239,16 @@ def cmd_solve(cfg: RunConfig) -> int:
     write_csv(out / "boundary.csv",
               ["x", "exact_bottom", "estimated_bottom"],
               np.column_stack((grid.x, exact, field[:, 0])).tolist())
-    rows = []
-    for i, res in enumerate(report.top_residuals, 1):
-        bot = report.bottom_errors[i - 1] if report.bottom_errors else ""
-        rows.append([i, res, bot])
-    write_csv(out / "history.csv", ["sweep", "top_residual", "bottom_error"], rows)
+    write_csv(out / "history.csv", ["sweep", "top_residual", "bottom_error"],
+              [[1, report.top_residual, report.bottom_error]])
     (out / "plot.gp").write_text(_PLOT_SCRIPT, encoding="ascii", newline="\n")
-
-    if report.converged_at is None:
-        print(f"did not converge within {cfg.max_sweeps} sweeps "
-              f"(last residual {report.top_residuals[-1]:.3e})", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    warmup = (f" (warm-up {report.warmup_steps} steps)"
-              if report.warmup_steps else "")
-    print(f"converged at sweep {report.converged_at}{warmup}; "
+    print(f"one sweep after a {report.warmup_steps}-step warm-up; "
+          f"periodicity defect {report.periodicity_defect:.1e}; "
           f"outputs in {out.resolve()}")
     return EXIT_OK
 
 
 def cmd_diagnose(cfg: RunConfig) -> int:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.modes_min > cfg.modes_max:
         print("configuration error: modes_min exceeds modes_max", file=sys.stderr)
         return EXIT_USAGE
@@ -273,6 +258,8 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     xs = (0.0, 0.1, 0.5)
     G, resid, bounds = spectral.diagnostics(modes, xs)
     gram_err = np.abs(G - np.eye(len(G))).max(axis=1)

@@ -1,16 +1,18 @@
 """Output-injection gain design by pole placement, and its certificates.
 
 The gain K is placed by Ackermann's formula so that F - K C has a requested
-spectrum inside the unit circle; a gain is certified stable when the
-achieved spectral radius is below one.  Single-output pole placement is
+spectrum inside the unit circle.  Single-output pole placement is
 numerically delicate: the observability matrix conditioning and the gain
 magnitude both grow quickly with the state dimension, so the polynomial
 evaluation and the linear solve are carried out in extended precision
 before rounding the gain to float64.  The placement post-check compares
 the achieved closed-loop spectrum against the request and refuses silently
-wrong gains.  A stable gain also carries its settling certificate: a step
-count W with ||(F - K C)^W||_2 below one rounding unit, after which the
-march has forgotten its starting line.
+wrong gains.  A gain is certified stable by its settling certificate: a
+step count W with ||(F - K C)^W||_2 below one rounding unit, so that W
+steps into a march its starting line weighs at most that much in its
+state (j steps later, at most ||(F - K C)^j||_2 times that).  No gain whose
+spectral radius is one or more gets one, and the observer refuses a gain
+without it.
 
 Beyond dimension ~14 (ny ~ 7 on the standard domain) no float64 gain vector
 can realize an accurate placement at all: rounding the exact gain perturbs
@@ -81,7 +83,6 @@ class GainVector:
     k: np.ndarray
     method: str
     spectral_radius: float
-    stable: bool
     obs_condition: float
     pole_min: float
     pole_max: float
@@ -229,6 +230,5 @@ def ackermann_gain(F: np.ndarray, C_row: np.ndarray, spec: PoleSpec,
     radius = float(np.abs(achieved).max())
     reals = spec.poles.real
     return GainVector(k=k, method="ackermann", spectral_radius=radius,
-                      stable=radius < 1.0, obs_condition=cond,
-                      pole_min=float(reals.min()), pole_max=float(reals.max()),
-                      settle_steps=settle_steps(M))
+                      obs_condition=cond, pole_min=float(reals.min()),
+                      pole_max=float(reals.max()), settle_steps=settle_steps(M))

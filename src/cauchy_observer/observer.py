@@ -1,49 +1,49 @@
-"""Iterative sweep observer: repeated marches across the rectangle.
+"""Sweep observer: one march across the rectangle on the periodic fixed point.
 
-Each sweep marches the estimated state line by line from x = 0 to x = a,
-injecting the measured top trace at every step.  Sweeps are chained by
-wrap-around: the starting line of a sweep is the final line of the previous
-one, so the march never restarts from scratch and the domain behaves like a
-periodic strip in x.
-
-Within a sweep every step is the affine recursion
+A sweep marches the estimated state line by line from x = 0 to x = a,
+injecting the measured top trace at every step.  Every step is the affine
+recursion
 
     x_{n+1} = M @ x_n + U[n],   M = F - K C,   U[n] = K f[n] + dx b(g[n])
 
 built once per run by ``discrete_ops.sweep_form``; the divergence guard is
-checked once over each marched stretch.  A sweep depends on the previous
-one only through its final line, so the whole sweep map is a strict
-contraction whenever the gain certificate holds.  ``run`` refuses a gain
-without that certificate.
+checked once over the marched states.  The sweep map, start line to final
+line, is a strict contraction whenever the gain certificate holds, and its
+fixed point is the periodic solution: the answer the paper reaches by
+chaining sweeps with wrap-around.  ``run`` reaches it in one sweep.
 
 Warm start.  With N = nx - 1 steps per sweep, the periodic fixed point's
-start line is  x*_0 = c_W + M^W x*_{N-W}  for any W <= N, where c_W is the
-state reached by marching only the last W steps of the data from rest.  A
-gain whose settling certificate W = ``GainVector.settle_steps`` is below N
-has ||M^W||_2 <= 2**-52, so the second term is under one rounding unit of
-the field.  A run without an initial guess therefore leads its first sweep
-in with those W warm-up steps and starts the sweep from c_W, which makes
-that sweep the fixed point.  In every other case the start line is zero.
-``converged_at`` counts stored sweeps only; the warm-up is reported as
-``SweepReport.warmup_steps``.
+start line is  x*_0 = c_W + M^W x*_(-W mod N)  for any W, where c_W is the
+state reached by marching the W data steps before node 0 of the periodic
+data, rows U[(N - W) mod N], ..., U[N - 1], from rest.  The gain's settling
+certificate W = ``GainVector.settle_steps`` has ||M^W||_2 <= 2**-52, so
+the second term is under one rounding unit of the field.  A run without an
+initial guess therefore leads its sweep in with those W warm-up steps
+(wrapping around the data when W >= N) and starts the sweep from c_W, which
+makes the sweep the fixed point.  ``SweepReport.periodicity_defect``,
+max|x_N - x_0| / max|field|, is the evidence.  A run with an initial guess
+is one application of the sweep map from the guess's last line, with no
+warm-up.  A gain without a settling certificate (every unstable gain among
+them) is refused.
 
-Lockstep window.  By the same certificate, a state of a march depends,
-to about one rounding unit, only on the W inputs before it.  So when W < N
-a sweep's states are cut into blocks of 16 to 31.  Block 0 marches from the
+Lockstep window.  The certificate bounds the later powers only through
+||M^(W+j)||_2 <= ||M^j||_2 * 2**-52, not by one rounding unit: with ring
+poles M^W can be tiny while the powers after it are not (at 2049x3,
+max_{j<32} ||M^(96+j)||_2 is about 24 units of 2**-52).  When W < N a
+sweep's states are cut into blocks of 16 to 31.  Block 0 marches from the
 start line (after the warm-up, if any) and is exact.  Every later block
 marches from rest over the W inputs before its own states, so its state j
-drops M^(W+j) times one earlier state: the term the warm-up already leaves
-in sweep state j, at most ||M^j||_2 * 2**-52 of that state.  All blocks
-advance together as one matrix product per step, so a sweep, warm-up
-included, costs W + L interpreter steps (L <= 31) instead of W + N.  Two
-runs with different start lines therefore agree bit for bit past the first
-block, where a plain march leaves them M^q times the difference of their
-start lines apart.  When W >= N, or no W is certified, there is one block:
-the plain per-step march.
+drops M^(W+j) times one earlier state, at most ||M^j||_2 * 2**-52 of it:
+the term the warm-up already leaves in sweep state j.  All blocks advance
+together as one matrix product per step, so a sweep, warm-up included,
+costs W + L interpreter steps (L <= 31) instead of W + N.  Two runs with
+different start lines therefore agree bit for bit past the first block,
+where a plain march leaves them M^q times the difference of their start
+lines apart.  When W >= N there is one block: the plain per-step march.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -76,31 +76,31 @@ class ObserverProblem:
 
 @dataclass
 class ObserverConfig:
-    max_sweeps: int = 500
-    tol: Optional[float] = None          # default: 1e-6 * ||f||
-    # (nx, 2*ny); default: zeros, or the warm-start line (see module docstring)
+    # (nx, 2*ny); only its last line is used, as the sweep's start line.
+    # Default: the wrapped warm-up (see module docstring)
     initial_guess: Optional[np.ndarray] = None
     guard: float = 1e12
 
     def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
-        if self.tol is not None and not self.tol >= 0.0:
-            raise ValueError("tol must be nonnegative")
         if not self.guard > 0.0:
             raise ValueError("guard must be positive")
 
 
 @dataclass
 class SweepReport:
-    top_residuals: list = field(default_factory=list)
-    bottom_errors: list = field(default_factory=list)
-    converged_at: Optional[int] = None
-    warmup_steps: int = 0       # steps marched before sweep 1; 0: zero start
+    top_residual: float
+    bottom_error: Optional[float]   # None without a reference
+    warmup_steps: int               # 0 for an explicit start line
+    periodicity_defect: float       # max|x_N - x_0| / max|field|
 
+    # kept only for perfbench/, which reads them
     @property
     def sweeps(self) -> int:
-        return len(self.top_residuals)
+        return 1
+
+    @property
+    def converged_at(self) -> Optional[int]:
+        return 1 if self.warmup_steps else None
 
 
 def _trapezoid_weights(nx: int, dx: float) -> np.ndarray:
@@ -150,7 +150,7 @@ _BLOCK = 16
 
 
 def _march(x0: np.ndarray, M: np.ndarray, V: np.ndarray, lead: int,
-           window: Optional[int], guard: float) -> np.ndarray:
+           window: int, guard: float) -> np.ndarray:
     """States s_lead, ..., s_T of s_0 = x0, s_{t+1} = M @ s_t + V[t].
 
     T = len(V).  The first ``lead`` rows of V are a warm-up and the rest one
@@ -166,7 +166,7 @@ def _march(x0: np.ndarray, M: np.ndarray, V: np.ndarray, lead: int,
     """
     steps, n = V.shape
     span = per = steps              # one block of every step
-    if window is not None and window < steps - lead:
+    if window < steps - lead:
         states = steps - lead + 1
         per = -(-states // max(1, states // _BLOCK))
         span = min(window + per, steps)
@@ -206,50 +206,42 @@ def _march(x0: np.ndarray, M: np.ndarray, V: np.ndarray, lead: int,
 
 def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None,
         reference: Optional[ReferenceSolution] = None):
-    """Iterate sweeps until the top-trace residual drops below tolerance.
+    """One sweep across the rectangle.
 
     Returns (field, report) where field has shape (nx, 2*ny): row n holds
     the stacked state on the vertical line at x node n.  The recovered
-    bottom trace is field[:, 0].  Without an initial guess a run whose gain
-    settles within a sweep first marches a warm-up (see the module
-    docstring).  Raises ValueError for a gain not certified stable.
+    bottom trace is field[:, 0].  Without an initial guess the sweep is led
+    in by the wrapped warm-up and is the periodic fixed point; with one, it
+    is one application of the sweep map from the guess's last line (see the
+    module docstring).  Raises ValueError for a gain without a settling
+    certificate.
     """
     config = config or ObserverConfig()
-    if not problem.gain.stable:
+    window = problem.gain.settle_steps
+    if window is None:
         raise ValueError(
             "gain is not certified stable (spectral radius "
             f"{problem.gain.spectral_radius:.6f})")
     grid = problem.grid
     ny, steps = grid.ny, grid.nx - 1
     f = problem.cauchy.f
-    tol = config.tol
-    if tol is None:
-        tol = 1e-6 * discrete_l2(f, grid.dx)
     M, U = sweep_form(problem.mats, problem.gain.k, f, problem.cauchy.g)
-    report = SweepReport()
-    window = problem.gain.settle_steps
-    lead = 0
     if config.initial_guess is None:
-        start = np.zeros(2 * ny)
-        if window is not None and window < steps:
-            lead = report.warmup_steps = window
+        # the warm-up: the last W data rows, wrapped around the periodic
+        # data, then the sweep's rows
+        start, lead = np.zeros(2 * ny), window
+        V = U.take(np.arange(-lead, steps), axis=0, mode="wrap")
     else:
         guess = np.asarray(config.initial_guess, dtype=float)
         if guess.shape != (grid.nx, 2 * ny):
             raise ValueError("initial guess must have shape (nx, 2*ny)")
-        start = guess[-1]
-    ref_trace = bottom_trace(reference, grid) if reference is not None else None
-
-    # sweep 1 is led in by the warm-up, the last `lead` data rows
-    V = np.concatenate([U[steps - lead:], U])
-    for sweep in range(1, config.max_sweeps + 1):
-        cur = _march(start, M, V, lead, window, config.guard)
-        start, V, lead = cur[-1], U, 0
-        res = top_residual(cur, f, grid.dx)
-        report.top_residuals.append(res)
-        if ref_trace is not None:
-            report.bottom_errors.append(error_bottom(cur, ref_trace, grid.dx))
-        if res <= tol:
-            report.converged_at = sweep
-            break
-    return cur, report
+        start, lead, V = guess[-1], 0, U
+    cur = _march(start, M, V, lead, window, config.guard)
+    scale = np.abs(cur).max()
+    defect = np.abs(cur[-1] - cur[0]).max()
+    return cur, SweepReport(
+        top_residual=top_residual(cur, f, grid.dx),
+        bottom_error=(None if reference is None else error_bottom(
+            cur, bottom_trace(reference, grid), grid.dx)),
+        warmup_steps=lead,
+        periodicity_defect=float(defect / scale) if scale else 0.0)

@@ -41,7 +41,7 @@ def report(criterion: str, ok: bool, detail: str = ""):
     return ok
 
 
-def _solve(sol, nx, ny, layout, tol=None, max_sweeps=300):
+def _solve(sol, nx, ny, layout):
     grid = co.build_grid(A, B, nx, ny)
     mats = co.assemble(grid)
     n = 2 * ny
@@ -50,8 +50,7 @@ def _solve(sol, nx, ny, layout, tol=None, max_sweeps=300):
     gain = co.ackermann_gain(mats.F, mats.C_row, spec)
     data = co.make_cauchy_data(sol, grid)
     problem = co.ObserverProblem(grid, data, mats, gain)
-    config = co.ObserverConfig(max_sweeps=max_sweeps, tol=tol)
-    return co.run(problem, config, reference=sol)
+    return co.run(problem, reference=sol)
 
 
 def _attempt_pinned_grid(sol):
@@ -75,9 +74,8 @@ def _attempt_pinned_grid(sol):
             continue
         problem = co.ObserverProblem(grid, data, mats, gain)
         try:
-            field, rep = co.run(problem, co.ObserverConfig(max_sweeps=300),
-                                reference=sol)
-            err = rep.bottom_errors[-1]
+            field, rep = co.run(problem, reference=sol)
+            err = rep.bottom_error
             best = min(best, err)
             outcomes.append(f"{layout}: err={err:.3g}")
         except co.NonFiniteState:
@@ -101,7 +99,7 @@ def test_criterion_1_cosine_recovery_working_grid():
     t0 = time.time()
     field, rep = _solve(sol, WORK_NX, WORK_NY, "ring")
     elapsed = time.time() - t0
-    err = rep.bottom_errors[-1]
+    err = rep.bottom_error
     ok = (err <= 0.05 and rep.converged_at is not None
           and rep.converged_at <= 300 and elapsed <= 10.0)
     report("1 (cosine recovery, stability envelope)", ok,
@@ -124,7 +122,7 @@ def test_criterion_2_sine_recovery_pinned_grid():
 def test_criterion_2_sine_recovery_working_grid():
     sol = co.dirichlet_example(A, B)
     field, rep = _solve(sol, WORK_NX, WORK_NY, "ring")
-    err = rep.bottom_errors[-1]
+    err = rep.bottom_error
     ok = err <= 0.05 and rep.converged_at is not None
     report("2 (sine recovery, stability envelope)", ok, f"err={err:.4f}")
     assert ok
@@ -145,7 +143,7 @@ def test_criterion_3_combination_recovery_working_grid():
     sol = co.combo_example([co.TrigTerm(1, 1.0, "cos"),
                             co.TrigTerm(1, 0.5, "sin")], A, B)
     field, rep = _solve(sol, WORK_NX, WORK_NY, "ring")
-    err = rep.bottom_errors[-1]
+    err = rep.bottom_error
     ok = err <= 0.07 and rep.converged_at is not None
     report("3 (combination recovery, stability envelope)", ok, f"err={err:.4f}")
     assert ok
@@ -161,8 +159,8 @@ def test_criterion_4_error_recursion_oracle():
     rng = np.random.default_rng(1)
     i1 = rng.standard_normal((grid.nx, 2 * grid.ny))
     i2 = rng.standard_normal((grid.nx, 2 * grid.ny))
-    f1, _ = co.run(problem, co.ObserverConfig(initial_guess=i1, max_sweeps=1))
-    f2, _ = co.run(problem, co.ObserverConfig(initial_guess=i2, max_sweeps=1))
+    f1, _ = co.run(problem, co.ObserverConfig(initial_guess=i1))
+    f2, _ = co.run(problem, co.ObserverConfig(initial_guess=i2))
     M = mats.F - np.outer(gain.k, mats.C_row)
     diff = i1[-1] - i2[-1]
     worst = 0.0
@@ -224,11 +222,11 @@ def _sweep_contraction_ratio(nx, ny):
                              co.uniform_poles(2 * ny, 0.3, 0.8))
     data = co.make_cauchy_data(co.neumann_example(A, B), grid)
     problem = co.ObserverProblem(grid, data, mats, gain)
-    field, _ = co.run(problem, co.ObserverConfig(max_sweeps=100, tol=0.0))
+    field, _ = co.run(problem)
     fstar = field[:, ny - 1].copy()
     consistent = co.ObserverProblem(grid, co.CauchyData(f=fstar, g=data.g),
                                     mats, gain)
-    star, _ = co.run(consistent, co.ObserverConfig(max_sweeps=100, tol=0.0))
+    star, _ = co.run(consistent)
     M = mats.F - np.outer(gain.k, mats.C_row)
     eigval, eigvec = np.linalg.eig(M)
     lead = np.argmax(np.abs(eigval))
@@ -239,8 +237,7 @@ def _sweep_contraction_ratio(nx, ny):
     for n in range(grid.nx - 1):
         E[n + 1] = M @ E[n]
     before = max(np.linalg.norm(E[n]) for n in range(grid.nx))
-    cur, _ = co.run(consistent, co.ObserverConfig(initial_guess=star + E,
-                                                  max_sweeps=1))
+    cur, _ = co.run(consistent, co.ObserverConfig(initial_guess=star + E))
     after = max(np.linalg.norm(cur[n] - star[n]) for n in range(grid.nx))
     return after / before, gain.spectral_radius
 
@@ -342,9 +339,8 @@ def test_criterion_10_trivial_fixed_point():
     gain = co.ackermann_gain(mats.F, mats.C_row, co.uniform_poles(10, 0.3, 0.8))
     data = co.make_cauchy_data(co.neumann_example(A, B), grid)
     problem = co.ObserverProblem(grid, data, mats, gain)
-    field, _ = co.run(problem, co.ObserverConfig(max_sweeps=100, tol=0.0))
-    again, _ = co.run(problem, co.ObserverConfig(initial_guess=field,
-                                                 max_sweeps=1))
+    field, _ = co.run(problem)
+    again, _ = co.run(problem, co.ObserverConfig(initial_guess=field))
     drift = np.abs(again - field).max()
     lte_scale = grid.dx * (grid.dx + grid.dy ** 2)
     ok = drift <= lte_scale

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cauchy_observer.cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE,
-                                 main, parse_config, write_csv)
+from cauchy_observer.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main,
+                                 parse_config, write_csv)
 
 BASE_CONFIG = """\
 # boundary recovery, single cosine data
@@ -27,9 +27,9 @@ class TestConfigParsing:
         assert cfg.nx == 257 and cfg.ny == 5
 
     def test_overrides(self):
-        cfg = parse_config(None, ["--nx", "33", "--tol", "1e-4"])
+        cfg = parse_config(None, ["--nx", "33", "--guard", "1e4"])
         assert cfg.nx == 33
-        assert cfg.tol == pytest.approx(1e-4)
+        assert cfg.guard == pytest.approx(1e4)
 
     def test_equals_form_override(self):
         cfg = parse_config(None, ["--nx=41"])
@@ -83,6 +83,7 @@ class TestSolve:
         assert rel <= 0.05
         history = (out / "history.csv").read_text().splitlines()
         assert history[0] == "sweep,top_residual,bottom_error"
+        assert len(history) == 2 and history[1].startswith("1,")
         gain = (out / "gain.csv").read_text().splitlines()
         assert gain[0] == "method,pole_min,pole_max,spectral_radius,obs_matrix_condition"
         assert gain[1].startswith("ackermann,")
@@ -94,20 +95,35 @@ class TestSolve:
         cfg = write_config(tmp_path, BASE_CONFIG.format(out=out))
         assert main(["solve", "--config", cfg]) == EXIT_OK
         stdout = capsys.readouterr().out
-        assert "converged at sweep 1 (warm-up 99 steps); " in stdout
+        assert "one sweep after a 99-step warm-up; periodicity defect " in stdout
         # 65x5: the ring gain settles only after 87 steps, more than a sweep
-        assert main(["solve", "--config", cfg,
-                     "--nx", "65", "--tol", "1e-2"]) == EXIT_OK
-        assert "converged at sweep 2; " in capsys.readouterr().out
+        assert main(["solve", "--config", cfg, "--nx", "65"]) == EXIT_OK
+        assert "one sweep after a 87-step warm-up; " in capsys.readouterr().out
 
-    def test_forced_non_convergence(self, tmp_path):
+    def test_forced_non_convergence(self, tmp_path, capsys):
+        # poles up to 0.9999 settle in no certified W: refused, not marched
         out = tmp_path / "run2"
         cfg = write_config(tmp_path, BASE_CONFIG.format(out=out))
-        code = main(["solve", "--config", cfg,
-                     "--tol", "0", "--max_sweeps", "1"])
-        assert code == EXIT_NO_CONVERGENCE
+        code = main(["solve", "--config", cfg, "--pole_layout", "uniform",
+                     "--pole_max", "0.9999"])
+        assert code == EXIT_RUNTIME
+        assert "not certified stable" in capsys.readouterr().err
+        assert not (out / "history.csv").exists()
+
+    @pytest.mark.parametrize("nx,ny,layout,terms", [
+        (65, 3, "ring", "1.0*cos1"), (65, 5, "ring", "1.0*cos1"),
+        (129, 3, "ring", "1.0*cos1"), (129, 5, "ring", "1.0*cos2"),
+        (129, 5, "uniform", "1.0*cos1"), (257, 5, "uniform", "1.0*cos1"),
+    ])
+    def test_stalled_cases_solve_in_one_sweep(self, tmp_path, nx, ny, layout,
+                                              terms):
+        out = tmp_path / "run11"
+        cfg = write_config(tmp_path, BASE_CONFIG.format(out=out)
+                           + f"example = combo\nterms = {terms}\n")
+        assert main(["solve", "--config", cfg, "--nx", str(nx),
+                     "--ny", str(ny), "--pole_layout", layout]) == EXIT_OK
         history = (out / "history.csv").read_text().splitlines()
-        assert len(history) == 2   # header plus exactly one sweep
+        assert len(history) == 2 and history[1].startswith("1,")
 
     def test_insufficient_nodes_is_usage_error(self, tmp_path):
         out = tmp_path / "run3"
@@ -118,31 +134,34 @@ class TestSolve:
         out = tmp_path / "run4"
         cfg = write_config(tmp_path, BASE_CONFIG.format(out=out))
         assert main(["solve", "--config", cfg, "--nx", "many"]) == EXIT_USAGE
+        assert not out.exists()
 
     def test_bad_pole_range(self, tmp_path):
         out = tmp_path / "run7"
         cfg = write_config(tmp_path, BASE_CONFIG.format(out=out))
         assert main(["solve", "--config", cfg,
                      "--pole_min", "0.9", "--pole_max", "0.2"]) == EXIT_USAGE
+        assert not out.exists()
 
     @pytest.mark.parametrize("override", [
-        ["--max_sweeps", "0"],
         ["--pole_min", "-5", "--pole_max", "0.9"],    # ring radius -2.05
         ["--pole_layout", "uniform", "--pole_min", "-5", "--pole_max", "0.9"],
+        ["--pole_layout", "spiral"],
         ["--guard", "-1"],
         ["--guard", "nan"],
-        ["--tol", "nan"],
-    ], ids=["max_sweeps", "ring_radius", "uniform_poles", "guard", "guard_nan",
-            "tol_nan"])
+    ], ids=["ring_radius", "uniform_poles", "layout", "guard", "guard_nan"])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys,
                                                override):
         out = tmp_path / "run9"
         cfg = write_config(tmp_path, BASE_CONFIG.format(out=out))
         assert main(["solve", "--config", cfg] + override) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [("bottom_closure", "ghost"),
-                                           ("gain_method", "tuned")])
+                                           ("gain_method", "tuned"),
+                                           ("max_sweeps", "0"),
+                                           ("tol", "nan")])
     def test_removed_keys_are_unknown(self, tmp_path, capsys, key, value):
         out = tmp_path / "run10"
         cfg = write_config(tmp_path, BASE_CONFIG.format(out=out)
@@ -180,6 +199,7 @@ class TestSolve:
         cfg = write_config(tmp_path, BASE_CONFIG.format(out=out)
                            + "example = combo\nterms = banana\n")
         assert main(["solve", "--config", cfg]) == EXIT_USAGE
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
@@ -234,6 +254,7 @@ class TestDiagnose:
         code = main(["diagnose", "--output_dir", str(out),
                      "--modes_min", "5", "--modes_max", "1"])
         assert code == EXIT_USAGE
+        assert not out.exists()
 
     def test_deterministic(self, tmp_path):
         outs = []
