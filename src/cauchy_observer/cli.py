@@ -7,16 +7,14 @@ identical runs produce byte-identical artifacts, plus a gnuplot script that
 renders them.
 
 Exit codes: 0 success, 1 runtime failure, 64 bad usage or configuration.
-Code 2 (no convergence within ``max_sweeps``) is retired: a run is one sweep
-on the periodic fixed point, and a gain that cannot give one is refused
-with code 1.  Usage and configuration errors are found before the output
-directory is created.
+Usage and configuration errors are found before the output directory is
+created.
 """
 
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -59,31 +57,20 @@ class ConfigError(Exception):
     pass
 
 
-def _coerce(name: str, raw: str, target_type):
-    try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {name}: {raw!r}") from exc
-
-
 def parse_config(path: Optional[str], overrides: List[str]) -> RunConfig:
-    """Read ``key = value`` lines, then apply --key value override pairs."""
+    """Read ``key = value`` lines, then apply --key value override pairs.
+    Each value is converted by its ``RunConfig`` field's type."""
     cfg = RunConfig()
-    types = {"example": str, "terms": str, "pole_layout": str,
-             "output_dir": str,
-             "a": float, "b": float, "pole_min": float, "pole_max": float,
-             "guard": float, "nx": int, "ny": int,
-             "modes_min": int, "modes_max": int, "quadrature": int}
+    types = {f.name: f.type for f in fields(RunConfig)}
 
     def apply(key: str, value: str):
-        key = key.strip()
+        key, value = key.strip(), value.strip()
         if key not in types:
             raise ConfigError(f"unknown configuration key: {key!r}")
-        setattr(cfg, key, _coerce(key, value.strip(), types[key]))
+        try:
+            setattr(cfg, key, types[key](value))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
     if path is not None:
         p = Path(path)
@@ -219,10 +206,11 @@ def cmd_solve(cfg: RunConfig) -> int:
         print(f"gain design failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
+    reals = spec.poles.real
     write_csv(out / "gain.csv",
               ["method", "pole_min", "pole_max", "spectral_radius",
                "obs_matrix_condition"],
-              [[gain.method, gain.pole_min, gain.pole_max,
+              [["ackermann", float(reals.min()), float(reals.max()),
                 gain.spectral_radius, gain.obs_condition]])
 
     problem = ObserverProblem(grid=grid, cauchy=cauchy, mats=mats, gain=gain)
@@ -249,9 +237,6 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_diagnose(cfg: RunConfig) -> int:
-    if cfg.modes_min > cfg.modes_max:
-        print("configuration error: modes_min exceeds modes_max", file=sys.stderr)
-        return EXIT_USAGE
     try:
         modes = spectral.ModeSet(tuple(range(cfg.modes_min, cfg.modes_max + 1)),
                                  cfg.quadrature)

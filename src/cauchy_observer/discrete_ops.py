@@ -26,9 +26,10 @@ from .grid import RectGrid
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """Dense marching matrices for one grid; immutable and shareable."""
+    """The marching step F = I + dx*A and the top-trace selector row C of
+    one grid, with the spacings the sweep's data term needs; immutable and
+    shareable."""
 
-    A_d: np.ndarray
     F: np.ndarray
     C_row: np.ndarray
     dx: float
@@ -55,7 +56,7 @@ def _second_difference(ny: int, dy: float) -> np.ndarray:
 
 
 def assemble(grid: RectGrid) -> SystemMatrices:
-    """Build A, F = I + dx*A and the top-trace selector row."""
+    """Build F = I + dx*A and the top-trace selector row."""
     ny = grid.ny
     D = _second_difference(ny, grid.dy)
     A = np.zeros((2 * ny, 2 * ny))
@@ -64,7 +65,7 @@ def assemble(grid: RectGrid) -> SystemMatrices:
     F = np.eye(2 * ny) + grid.dx * A
     C = np.zeros(2 * ny)
     C[ny - 1] = 1.0
-    return SystemMatrices(A_d=A, F=F, C_row=C, dx=grid.dx, dy=grid.dy, ny=ny)
+    return SystemMatrices(F=F, C_row=C, dx=grid.dx, dy=grid.dy, ny=ny)
 
 
 def sweep_form(mats: SystemMatrices, k: np.ndarray, f: np.ndarray,

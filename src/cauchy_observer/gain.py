@@ -78,15 +78,14 @@ def ring_poles(n: int, radius: float = 0.55) -> PoleSpec:
 
 @dataclass(frozen=True)
 class GainVector:
-    """Injection gain column plus its design certificate."""
+    """The injection gain column k plus its certificate: the achieved
+    closed-loop spectral radius, cond(O) of the observability matrix O and
+    the settling step count (see settle_steps(); None: none certified)."""
 
     k: np.ndarray
-    method: str
     spectral_radius: float
     obs_condition: float
-    pole_min: float
-    pole_max: float
-    settle_steps: Optional[int] = None   # see settle_steps(); None: none certified
+    settle_steps: Optional[int] = None
 
 
 def observability_matrix(F: np.ndarray, C_row: np.ndarray,
@@ -103,6 +102,8 @@ def observability_matrix(F: np.ndarray, C_row: np.ndarray,
 
 
 SETTLE_TOL = 2.0 ** -52
+# the placement post-check's tolerance is this times 1 + max |pole|
+PLACEMENT_TOL_SCALE = 1e-6
 _SETTLE_CAP_LOG2 = 16
 
 
@@ -180,8 +181,7 @@ def _match_spectra(achieved: np.ndarray, requested: np.ndarray) -> float:
 
 
 def ackermann_gain(F: np.ndarray, C_row: np.ndarray, spec: PoleSpec,
-                   cond_cap: float = 1e12,
-                   check_tol_scale: float = 1e-6) -> GainVector:
+                   cond_cap: float = 1e12) -> GainVector:
     """Place the closed-loop spectrum by the classical single-output formula
 
         K = q(F) @ inv(O) @ e_last
@@ -190,16 +190,20 @@ def ackermann_gain(F: np.ndarray, C_row: np.ndarray, spec: PoleSpec,
     observability matrix.  Internal arithmetic runs in extended precision;
     the result is rounded to float64 and verified against the request.
 
-    Raises ObservabilityDeficient when cond(O) exceeds ``cond_cap`` and
-    PlacementFailed when the achieved spectrum misses the request by more
-    than ``check_tol_scale * (1 + max |pole|)``.
+    Raises ObservabilityDeficient when O is not finite or cond(O) exceeds
+    ``cond_cap``, and PlacementFailed when the achieved spectrum misses the
+    request by more than ``PLACEMENT_TOL_SCALE * (1 + max |pole|)``.
     """
     F = np.asarray(F, dtype=float)
     C = np.asarray(C_row, dtype=float).ravel()
     n = F.shape[0]
     if len(spec) != n:
         raise ValueError(f"need exactly {n} poles, got {len(spec)}")
-    O = observability_matrix(F, C)
+    # the powers of an extreme F overflow; O is then refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        O = observability_matrix(F, C)
+    if not np.isfinite(O).all():
+        raise ObservabilityDeficient("observability matrix is not finite")
     cond = float(np.linalg.cond(O))
     if not np.isfinite(cond) or cond > cond_cap:
         raise ObservabilityDeficient(
@@ -220,15 +224,12 @@ def ackermann_gain(F: np.ndarray, C_row: np.ndarray, spec: PoleSpec,
 
     M = F - np.outer(k, C)
     achieved = np.linalg.eigvals(M)
-    tol = check_tol_scale * (1.0 + float(np.abs(spec.poles).max()))
+    tol = PLACEMENT_TOL_SCALE * (1.0 + float(np.abs(spec.poles).max()))
     mismatch = _match_spectra(achieved, spec.poles)
     if mismatch > tol:
         raise PlacementFailed(
             f"closed-loop spectrum misses request by {mismatch:.3e} "
             f"(tolerance {tol:.3e}); the placement is not representable "
             f"at this dimension in double precision")
-    radius = float(np.abs(achieved).max())
-    reals = spec.poles.real
-    return GainVector(k=k, method="ackermann", spectral_radius=radius,
-                      obs_condition=cond, pole_min=float(reals.min()),
-                      pole_max=float(reals.max()), settle_steps=settle_steps(M))
+    return GainVector(k=k, spectral_radius=float(np.abs(achieved).max()),
+                      obs_condition=cond, settle_steps=settle_steps(M))

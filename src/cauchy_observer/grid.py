@@ -1,5 +1,6 @@
 """Uniform rectangular grid shared by the marching solver and data generators."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +34,21 @@ def build_grid(a: float, b: float, nx: int, ny: int) -> RectGrid:
     """Construct a grid with nx nodes along x and ny nodes along y.
 
     Both boundaries are grid nodes, so dx = a/(nx-1) and dy = b/(ny-1).
-    Raises ValueError for non-positive extents or fewer than 3 nodes per
-    direction (centered differences need a full interior stencil).
+    Raises ValueError for extents that are not positive and finite, for a
+    dy so small that the second difference's 1/dy**2 is not finite, and for
+    fewer than 3 nodes per direction (centered differences need a full
+    interior stencil).
     """
-    if not (a > 0.0) or not (b > 0.0):
-        raise ValueError(f"domain extents must be positive, got a={a}, b={b}")
+    if not (0.0 < a < math.inf) or not (0.0 < b < math.inf):
+        raise ValueError(
+            f"domain extents must be positive and finite, got a={a}, b={b}")
     if nx < 3:
         raise ValueError(f"insufficient x nodes: nx={nx} < 3")
     if ny < 3:
         raise ValueError(f"insufficient y nodes: ny={ny} < 3")
+    dy = float(b) / (ny - 1)
+    if not (dy * dy > 0.0 and math.isfinite(1.0 / (dy * dy))):
+        raise ValueError(f"y spacing dy={dy} is too small: 1/dy**2 overflows")
     return RectGrid(a=float(a), b=float(b), nx=int(nx), ny=int(ny),
-                    dx=float(a) / (nx - 1), dy=float(b) / (ny - 1))
+                    dx=float(a) / (nx - 1), dy=dy)
 

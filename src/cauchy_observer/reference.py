@@ -18,7 +18,6 @@ import numpy as np
 from .grid import RectGrid
 
 _PARITIES = ("cos", "sin")
-_KINDS = ("neumann_sides", "dirichlet_sides", "fourier_combo")
 
 
 @dataclass(frozen=True)
@@ -38,14 +37,11 @@ class TrigTerm:
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    kind: str
     terms: tuple
     a: float
     b: float
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if len(self.terms) == 0:
             raise ValueError("a reference solution needs at least one term")
 
@@ -66,16 +62,16 @@ class CauchyData:
 
 def neumann_example(a: float, b: float) -> ReferenceSolution:
     """Single cosine term, zero-Neumann side boundaries."""
-    return ReferenceSolution("neumann_sides", (TrigTerm(1, 1.0, "cos"),), a, b)
+    return ReferenceSolution((TrigTerm(1, 1.0, "cos"),), a, b)
 
 
 def dirichlet_example(a: float, b: float) -> ReferenceSolution:
     """Single sine term, zero-Dirichlet side boundaries."""
-    return ReferenceSolution("dirichlet_sides", (TrigTerm(1, 1.0, "sin"),), a, b)
+    return ReferenceSolution((TrigTerm(1, 1.0, "sin"),), a, b)
 
 
 def combo_example(terms: Sequence[TrigTerm], a: float, b: float) -> ReferenceSolution:
-    return ReferenceSolution("fourier_combo", tuple(terms), a, b)
+    return ReferenceSolution(tuple(terms), a, b)
 
 
 def _freq(term: TrigTerm, a: float) -> float:
@@ -143,7 +139,7 @@ def bottom_trace(sol: ReferenceSolution, grid: RectGrid) -> np.ndarray:
 def sample_state_field(sol: ReferenceSolution, grid: RectGrid) -> np.ndarray:
     """Stacked (u, du/dx) samples for every x node, shape (nx, 2*ny).
 
-    Useful as a consistent initial guess and in accuracy studies.
+    Its last line is a consistent start line; also used in accuracy studies.
     """
     x = grid.x[:, None]
     y = grid.y[None, :]

@@ -123,13 +123,6 @@ def quadrature_nodes(quadrature: int) -> np.ndarray:
     return np.linspace(0.0, ANALYSIS_LENGTH, quadrature)
 
 
-def eval_mode(mode: EigenMode, y: float):
-    """Value of the paired mode at a point, (first, second) component."""
-    v1 = mode.rho * MODE_AMPLITUDE * np.cos(mode.lam * y)
-    v2 = mode.lam * v1
-    return v1, v2
-
-
 def sample_mode(mode: EigenMode, quadrature: int) -> FunctionPair:
     """Sample a mode on the quadrature nodes, with analytic derivative."""
     s = quadrature_nodes(quadrature)
@@ -157,11 +150,6 @@ def _sample_rows(modes: ModeSet, derivative: bool = True):
     dp1 = np.sin(phase, out=phase)
     dp1 *= (-rho * MODE_AMPLITUDE * lam)[:, None]
     return lam, p1, dp1
-
-
-def zero_pair(quadrature: int) -> FunctionPair:
-    z = np.zeros(quadrature)
-    return FunctionPair(p1=z, p2=z.copy(), dp1=z.copy())
 
 
 def _trapezoid_weights(nodes: int) -> np.ndarray:
@@ -228,11 +216,6 @@ def semigroup_apply(f: FunctionPair, x: float, modes: ModeSet) -> FunctionPair:
     df = _derivative(f, ANALYSIS_LENGTH / (f.nodes - 1))
     c = np.exp(lam * x) * (dp1 @ (w * df) + lam * (p1 @ (w * f.p2)))
     return FunctionPair(p1=c @ p1, p2=(c * lam) @ p1, dp1=c @ dp1)
-
-
-def observation(f: FunctionPair) -> float:
-    """First component evaluated at the data end (s = 0) of the interval."""
-    return float(f.p1[0])
 
 
 def _obs_bound(lam, p1, dp1, x):

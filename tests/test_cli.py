@@ -1,8 +1,12 @@
+import dataclasses
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
-from cauchy_observer.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main,
-                                 parse_config, write_csv)
+from cauchy_observer.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, RunConfig,
+                                 main, parse_config, write_csv)
 
 BASE_CONFIG = """\
 # boundary recovery, single cosine data
@@ -43,6 +47,22 @@ class TestConfigParsing:
     def test_comments_and_blank_lines(self, tmp_path):
         path = write_config(tmp_path, "# hi\n\nnx = 33  # trailing\n")
         assert parse_config(path, []).nx == 33
+
+    def test_readme_key_list_matches_run_config(self):
+        # the README's "Keys and defaults" block names every RunConfig
+        # field once, with its default (a's 2*pi is shown truncated)
+        readme = (pathlib.Path(__file__).resolve().parents[1]
+                  / "README.md").read_text()
+        block = re.search(r"Keys and defaults:\n\n```\n(.*?)```", readme,
+                          re.S).group(1)
+        shown = re.findall(r"(\w+)\s*=\s*(\S+)",
+                           re.sub(r"#.*", "", block))
+        fields = dataclasses.fields(RunConfig)
+        assert sorted(k for k, _ in shown) == sorted(f.name for f in fields)
+        defaults = {f.name: f.default for f in fields}
+        for key, value in shown:
+            if key != "a":
+                assert type(defaults[key])(value) == defaults[key], key
 
 
 def per_value_format(value) -> str:
@@ -149,7 +169,11 @@ class TestSolve:
         ["--pole_layout", "spiral"],
         ["--guard", "-1"],
         ["--guard", "nan"],
-    ], ids=["ring_radius", "uniform_poles", "layout", "guard", "guard_nan"])
+        ["--a", "inf"],
+        ["--b", "inf"],
+        ["--b", "1e-300"],                            # dy*dy underflows
+    ], ids=["ring_radius", "uniform_poles", "layout", "guard", "guard_nan",
+            "a_inf", "b_inf", "b_tiny"])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys,
                                                override):
         out = tmp_path / "run9"
@@ -157,6 +181,16 @@ class TestSolve:
         assert main(["solve", "--config", cfg] + override) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("extent", [["--a", "1e308"], ["--b", "1e-150"]])
+    def test_overflowing_gain_design_fails(self, tmp_path, capsys, extent):
+        # the observability matrix overflows: refused, with no traceback
+        out = tmp_path / "run12"
+        cfg = write_config(tmp_path, BASE_CONFIG.format(out=out))
+        assert main(["solve", "--config", cfg] + extent) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == ("gain design failed: observability matrix is not "
+                       "finite\n")
 
     @pytest.mark.parametrize("key,value", [("bottom_closure", "ghost"),
                                            ("gain_method", "tuned"),

@@ -9,7 +9,8 @@ A, B = 2 * np.pi, 0.5
 
 
 def second_difference_of(mats):
-    return -mats.A_d[mats.ny:, :mats.ny]
+    """D from the lower-left block of F = I + dx*A, which is -dx*D."""
+    return -mats.F[mats.ny:, :mats.ny] / mats.dx
 
 
 def one_step(state, mats, k, f_meas, g_meas):
@@ -25,9 +26,15 @@ class TestAssemble:
         assert np.allclose(D[1], [16.0, -32.0, 16.0])
 
     def test_f_is_identity_plus_dx_a(self):
+        # A = [[0, I], [-D, 0]], with D's rows written out for ny = 4
         g = build_grid(1.0, 0.5, 11, 4)
         mats = assemble(g)
-        assert np.array_equal(mats.F - np.eye(2 * g.ny), g.dx * mats.A_d)
+        inv = 1.0 / (g.dy * g.dy)
+        D = np.array([[2.0, -5.0, 4.0, -1.0], [1.0, -2.0, 1.0, 0.0],
+                      [0.0, 1.0, -2.0, 1.0], [0.0, 0.0, 2.0, -2.0]]) * inv
+        eye = np.eye(4)
+        assert np.array_equal(mats.F, np.block([[eye, g.dx * eye],
+                                                [-g.dx * D, eye]]))
 
     def test_top_row_mirror(self):
         g = build_grid(1.0, 0.5, 5, 5)

@@ -113,6 +113,14 @@ class TestAckermann:
         with pytest.raises(ObservabilityDeficient):
             ackermann_gain(F, C, uniform_poles(3, 0.1, 0.5))
 
+    @pytest.mark.parametrize("a,b", [(1e308, B), (A, 1e-150)])
+    def test_overflowing_observability_rejected(self, a, b):
+        # the powers of F overflow, so O is not finite; refused without a
+        # warning and before numpy's SVD can fail on it
+        mats = assemble(build_grid(a, b, 257, 5))
+        with pytest.raises(ObservabilityDeficient, match="not finite"):
+            ackermann_gain(mats.F, mats.C_row, ring_poles(10, 0.55))
+
     def test_placement_failure_is_detected(self):
         # at state dimension 14 the uniformly spaced real layout is not
         # representable in double precision; the post-check must say so

@@ -21,6 +21,11 @@ def test_fine_domain_spacing():
     dict(a=1.0, b=1.0, nx=5, ny=2),
     dict(a=0.0, b=1.0, nx=5, ny=5),
     dict(a=1.0, b=-1.0, nx=5, ny=5),
+    dict(a=float("inf"), b=1.0, nx=5, ny=5),
+    dict(a=1.0, b=float("inf"), nx=5, ny=5),
+    dict(a=float("nan"), b=1.0, nx=5, ny=5),
+    dict(a=1.0, b=1e-300, nx=5, ny=5),      # dy*dy underflows to 0
+    dict(a=1.0, b=1e-154, nx=5, ny=5),      # 1/dy**2 overflows
 ])
 def test_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError):

@@ -93,11 +93,11 @@ class TestRun:
             field, bottom_trace(sol, grid), grid.dx)
         assert report.periodicity_defect == (
             np.abs(field[-1] - field[0]).max() / np.abs(field).max())
-        _, bare = run(problem, ObserverConfig(initial_guess=field))
+        _, bare = run(problem, ObserverConfig(start_line=field[-1]))
         assert bare.bottom_error is None
         assert bare.warmup_steps == 0 and bare.converged_at is None
 
-    def test_initial_guess_independence(self):
+    def test_start_line_independence(self):
         # sweeps chained from two random start lines both reach the
         # per-step reference of the wrapped warm-up and its sweep
         grid, mats, gain, sol, data = standard_problem(257, 5, "ring")
@@ -111,7 +111,8 @@ class TestRun:
         for _ in range(2):
             field = rng.standard_normal((grid.nx, 2 * grid.ny))
             for _ in range(3):
-                field, report = run(problem, ObserverConfig(initial_guess=field))
+                field, report = run(problem,
+                                    ObserverConfig(start_line=field[-1]))
             assert report.periodicity_defect <= tol
             traces.append(field[:, 0].copy())
         assert np.abs(traces[0] - traces[1]).max() <= 10 * tol
@@ -122,12 +123,12 @@ class TestRun:
         grid, mats, gain, _, data = standard_problem(65, 3)
         problem = ObserverProblem(grid, data, mats, gain)
         rng = np.random.default_rng(1)
-        i1 = rng.standard_normal((grid.nx, 2 * grid.ny))
-        i2 = rng.standard_normal((grid.nx, 2 * grid.ny))
-        f1, _ = run(problem, ObserverConfig(initial_guess=i1))
-        f2, _ = run(problem, ObserverConfig(initial_guess=i2))
+        s1 = rng.standard_normal((grid.nx, 2 * grid.ny))[-1]
+        s2 = rng.standard_normal((grid.nx, 2 * grid.ny))[-1]
+        f1, _ = run(problem, ObserverConfig(start_line=s1))
+        f2, _ = run(problem, ObserverConfig(start_line=s2))
         M = mats.F - np.outer(gain.k, mats.C_row)
-        diff = i1[-1] - i2[-1]
+        diff = s1 - s2
         worst = 0.0
         for n in range(grid.nx - 1):
             diff = M @ diff
@@ -138,10 +139,8 @@ class TestRun:
         # no gain at all: the bare marching operator, which is unstable
         grid, mats, gain, _, data = standard_problem()
         radius = float(np.abs(np.linalg.eigvals(mats.F)).max())
-        unstable = GainVector(k=np.zeros(2 * grid.ny), method="none",
-                              spectral_radius=radius,
-                              obs_condition=gain.obs_condition,
-                              pole_min=gain.pole_min, pole_max=gain.pole_max)
+        unstable = GainVector(k=np.zeros(2 * grid.ny), spectral_radius=radius,
+                              obs_condition=gain.obs_condition)
         problem = ObserverProblem(grid, data, mats, unstable)
         with pytest.raises(ValueError, match="not certified stable"):
             run(problem, ObserverConfig())
@@ -157,13 +156,12 @@ class TestRun:
         problem = ObserverProblem(grid, data, mats, gain)
         guard = 1e4
         ny, k = grid.ny, gain.k
-        zero = np.zeros((grid.nx, 2 * ny))
         # per-step reference marches of the wrapped warm-up and its sweep,
         # and of the sweep alone, both from rest
-        for guess, rows, label in ((None, range(-W, steps), "warm-up"),
-                                   (zero, range(steps), "sweep")):
+        for start, rows, label in ((None, range(-W, steps), "warm-up"),
+                                   (np.zeros(2 * ny), range(steps), "sweep")):
             with pytest.raises(NonFiniteState) as excinfo:
-                run(problem, ObserverConfig(initial_guess=guess, guard=guard))
+                run(problem, ObserverConfig(start_line=start, guard=guard))
             s = np.zeros(2 * ny)
             first_out = None
             for t, n in enumerate(rows, 1):
@@ -184,8 +182,8 @@ class TestRun:
         grid, mats, gain, _, data = standard_problem(257, 5, "ring")
         bare = dataclasses.replace(gain, settle_steps=None)
         problem = ObserverProblem(grid, data, mats, bare)
-        guess = np.zeros((grid.nx, 2 * grid.ny))
-        for config in (ObserverConfig(), ObserverConfig(initial_guess=guess)):
+        zero = np.zeros(2 * grid.ny)
+        for config in (ObserverConfig(), ObserverConfig(start_line=zero)):
             with pytest.raises(ValueError, match="not certified stable"):
                 run(problem, config)
 
@@ -206,11 +204,13 @@ class TestRun:
         with pytest.raises(ValueError, match="guard"):
             ObserverConfig(guard=guard)
 
-    def test_bad_initial_guess_shape(self):
+    def test_bad_start_line_shape(self):
+        # a whole (nx, 2*ny) field is refused, as is any shape but (2*ny,)
         grid, mats, gain, _, data = standard_problem()
         problem = ObserverProblem(grid, data, mats, gain)
-        with pytest.raises(ValueError):
-            run(problem, ObserverConfig(initial_guess=np.zeros((3, 3))))
+        for shape in ((3, 3), (grid.nx, 2 * grid.ny), (2 * grid.ny + 1,)):
+            with pytest.raises(ValueError, match="start line"):
+                run(problem, ObserverConfig(start_line=np.zeros(shape)))
 
 
 # the verified window: grids where the ring gain designs and settles within
@@ -250,12 +250,12 @@ def one_block_problem(case):
 
 def chained_sweeps(problem, count, reference=None):
     """``count`` sweeps chained from a zero start line, each one ``run``
-    with the previous sweep's field as its initial guess."""
-    grid = problem.grid
-    field = np.zeros((grid.nx, 2 * grid.ny))
+    started from the previous sweep's last line."""
+    line = np.zeros(2 * problem.grid.ny)
     for _ in range(count):
         field, report = run(problem, ObserverConfig(
-            initial_guess=field, guard=NO_GUARD), reference=reference)
+            start_line=line, guard=NO_GUARD), reference=reference)
+        line = field[-1]
     return field, report
 
 
@@ -308,7 +308,7 @@ class TestWarmStart:
         expected, _ = run(problem)
         field = np.random.default_rng(3).standard_normal((grid.nx, 2 * grid.ny))
         for _ in range(3):
-            field, report = run(problem, ObserverConfig(initial_guess=field,
+            field, report = run(problem, ObserverConfig(start_line=field[-1],
                                                         guard=NO_GUARD))
             assert report.warmup_steps == 0 and report.sweeps == 1
             assert report.converged_at is None
@@ -411,10 +411,10 @@ class TestWindowedMarch:
         M, U = affine_form(problem)
         if guess:
             start = np.random.default_rng(4).standard_normal(
-                (grid.nx, 2 * grid.ny))
+                (grid.nx, 2 * grid.ny))[-1]
             field, report = run(problem, ObserverConfig(
-                initial_guess=start, guard=NO_GUARD))
-            expected = per_step_march(M, U, start[-1])
+                start_line=start, guard=NO_GUARD))
+            expected = per_step_march(M, U, start)
         else:
             field, report = run(problem)
             expected = per_step_march(M, wrapped_inputs(problem), np.zeros(
@@ -429,7 +429,7 @@ class TestWindowedMarch:
         grid, W = problem.grid, problem.gain.settle_steps
         rng = np.random.default_rng(5)
         f1, f2 = (run(problem, ObserverConfig(
-            initial_guess=rng.standard_normal((grid.nx, 2 * grid.ny))))[0]
+            start_line=rng.standard_normal((grid.nx, 2 * grid.ny))[-1]))[0]
             for _ in range(2))
         assert not np.array_equal(f1[1], f2[1])
         assert np.array_equal(f1[W + 32:], f2[W + 32:])

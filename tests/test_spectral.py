@@ -4,10 +4,9 @@ import pytest
 from cauchy_observer.spectral import (ANALYSIS_LENGTH, MODE_AMPLITUDE,
                                       EigenMode, FunctionPair, ModeSet,
                                       default_mode_set, diagnostics,
-                                      eigen_residual, eval_mode, gram_matrix,
+                                      eigen_residual, gram_matrix,
                                       inner_product, observability_lower_bound,
-                                      observation, sample_mode,
-                                      semigroup_apply, zero_pair)
+                                      sample_mode, semigroup_apply)
 
 
 def combination(indices, quadrature, weights=None):
@@ -33,18 +32,19 @@ class TestModeFamily:
             m = EigenMode(n)
             assert m.rho * m.lam == pytest.approx(1 / np.sqrt(2), rel=1e-15)
 
+    # the first and last quadrature nodes are s = 0 and s = pi/4
     def test_value_at_origin_mode0(self):
-        v1, v2 = eval_mode(EigenMode(0), 0.0)
-        assert v1 == pytest.approx(-0.18806319451591876, rel=1e-13)
-        assert v2 == pytest.approx(-1.1283791670955126, rel=1e-13)
+        m = sample_mode(EigenMode(0), 101)
+        assert m.p1[0] == pytest.approx(-0.18806319451591876, rel=1e-13)
+        assert m.p2[0] == pytest.approx(-1.1283791670955126, rel=1e-13)
 
     def test_value_vanishes_at_far_end_mode0(self):
-        v1, v2 = eval_mode(EigenMode(0), ANALYSIS_LENGTH)
-        assert abs(v1) < 1e-15 and abs(v2) < 1e-15
+        m = sample_mode(EigenMode(0), 101)
+        assert abs(m.p1[-1]) < 1e-15 and abs(m.p2[-1]) < 1e-15
 
     def test_value_at_origin_mode1(self):
-        v1, _ = eval_mode(EigenMode(1), 0.0)
-        assert v1 == pytest.approx(0.5641895835477563, rel=1e-13)
+        assert sample_mode(EigenMode(1), 101).p1[0] == pytest.approx(
+            0.5641895835477563, rel=1e-13)
 
 
 class TestInnerProduct:
@@ -58,7 +58,7 @@ class TestInnerProduct:
         assert abs(inner_product(a, b)) < 1e-12
 
     def test_zero_pair(self):
-        z = zero_pair(501)
+        z = FunctionPair(np.zeros(501), np.zeros(501), np.zeros(501))
         q = sample_mode(EigenMode(2), 501)
         assert inner_product(z, q) == 0.0
 
@@ -119,16 +119,19 @@ class TestSemigroup:
 
 
 class TestObservation:
+    # the observation is the first component at the data end s = 0: p1[0]
     def test_mode0(self):
         f = sample_mode(EigenMode(0), 501)
-        assert observation(f) == pytest.approx(-0.18806319451591876, rel=1e-13)
+        assert f.p1[0] == pytest.approx(-0.18806319451591876, rel=1e-13)
 
     def test_mode1(self):
         f = sample_mode(EigenMode(1), 501)
-        assert observation(f) == pytest.approx(0.5641895835477563, rel=1e-13)
+        assert f.p1[0] == pytest.approx(0.5641895835477563, rel=1e-13)
 
     def test_zero(self):
-        assert observation(zero_pair(101)) == 0.0
+        ms = ModeSet((0, 1), 101)
+        zero = FunctionPair(np.zeros(101), np.zeros(101), np.zeros(101))
+        assert semigroup_apply(zero, 0.2, ms).p1[0] == 0.0
 
 
 class TestObservabilityBound:
