@@ -25,7 +25,7 @@ from .discrete_ops import assemble
 from .gain import (ObservabilityDeficient, PlacementFailed, PoleSpec,
                    ackermann_gain, ring_poles, uniform_poles)
 from .grid import build_grid
-from .observer import NonFiniteState, ObserverConfig, ObserverProblem, run
+from .observer import NonFiniteState, ObserverProblem, run
 from .reference import (ReferenceSolution, TrigTerm, bottom_trace,
                         combo_example, dirichlet_example, make_cauchy_data,
                         neumann_example)
@@ -46,7 +46,6 @@ class RunConfig:
     pole_layout: str = "ring"           # ring | uniform
     pole_min: float = 0.3
     pole_max: float = 0.8
-    guard: float = 1e12
     modes_min: int = -4
     modes_max: int = 8
     quadrature: int = 2001
@@ -188,17 +187,16 @@ def _pole_spec(cfg: RunConfig) -> PoleSpec:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
+    sol = _reference_for(cfg)
+    spec = _pole_spec(cfg)
     try:
         grid = build_grid(cfg.a, cfg.b, cfg.nx, cfg.ny)
-        config = ObserverConfig(guard=cfg.guard)
+        cauchy = make_cauchy_data(sol, grid)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sol = _reference_for(cfg)
-    spec = _pole_spec(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cauchy = make_cauchy_data(sol, grid)
     mats = assemble(grid)
     try:
         gain = ackermann_gain(mats.F, mats.C_row, spec)
@@ -215,9 +213,9 @@ def cmd_solve(cfg: RunConfig) -> int:
 
     problem = ObserverProblem(grid=grid, cauchy=cauchy, mats=mats, gain=gain)
     try:
-        field, report = run(problem, config, reference=sol)
+        field, report = run(problem, reference=sol)
     except NonFiniteState as exc:
-        print(f"solver diverged: {exc}", file=sys.stderr)
+        print(f"solver overflowed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except ValueError as exc:
         print(f"solver rejected the configuration: {exc}", file=sys.stderr)

@@ -74,10 +74,13 @@ def sweep_form(mats: SystemMatrices, k: np.ndarray, f: np.ndarray,
 
     M = F - K C and U[n] = K f[n] + dx * b(g[n]), one row per step, so U has
     len(f) - 1 rows.  The data term of b is -2 g / dy in the top du/dx row.
+    Data near the float range may overflow U; the march then names the
+    first state that is not finite.
     """
     k = np.asarray(k, dtype=float)
     f = np.asarray(f, dtype=float)
     M = mats.F - np.outer(k, mats.C_row)
-    U = np.outer(f[:-1], k)
-    U[:, -1] -= 2.0 * mats.dx * np.asarray(g, dtype=float)[:-1] / mats.dy
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = np.outer(f[:-1], k)
+        U[:, -1] -= 2.0 * mats.dx * np.asarray(g, dtype=float)[:-1] / mats.dy
     return M, U

@@ -35,9 +35,11 @@ def build_grid(a: float, b: float, nx: int, ny: int) -> RectGrid:
 
     Both boundaries are grid nodes, so dx = a/(nx-1) and dy = b/(ny-1).
     Raises ValueError for extents that are not positive and finite, for a
-    dy so small that the second difference's 1/dy**2 is not finite, and for
-    fewer than 3 nodes per direction (centered differences need a full
-    interior stencil).
+    dy so small that the second difference's 1/dy**2 is not finite, for a
+    dx/dy**2 so large that the marching step's largest entry, 5*dx/dy**2
+    (the bottom one-sided stencil), is not finite, and for fewer than 3
+    nodes per direction (centered differences need a full interior
+    stencil).
     """
     if not (0.0 < a < math.inf) or not (0.0 < b < math.inf):
         raise ValueError(
@@ -46,9 +48,12 @@ def build_grid(a: float, b: float, nx: int, ny: int) -> RectGrid:
         raise ValueError(f"insufficient x nodes: nx={nx} < 3")
     if ny < 3:
         raise ValueError(f"insufficient y nodes: ny={ny} < 3")
-    dy = float(b) / (ny - 1)
+    dx, dy = float(a) / (nx - 1), float(b) / (ny - 1)
     if not (dy * dy > 0.0 and math.isfinite(1.0 / (dy * dy))):
         raise ValueError(f"y spacing dy={dy} is too small: 1/dy**2 overflows")
+    if not math.isfinite(dx * (5.0 * (1.0 / (dy * dy)))):
+        raise ValueError(f"spacings dx={dx}, dy={dy} overflow the marching "
+                         "step: 5*dx/dy**2 is not finite")
     return RectGrid(a=float(a), b=float(b), nx=int(nx), ny=int(ny),
-                    dx=float(a) / (nx - 1), dy=dy)
+                    dx=dx, dy=dy)
 

@@ -31,9 +31,9 @@ class TestConfigParsing:
         assert cfg.nx == 257 and cfg.ny == 5
 
     def test_overrides(self):
-        cfg = parse_config(None, ["--nx", "33", "--guard", "1e4"])
+        cfg = parse_config(None, ["--nx", "33", "--pole_max", "0.7"])
         assert cfg.nx == 33
-        assert cfg.guard == pytest.approx(1e4)
+        assert cfg.pole_max == pytest.approx(0.7)
 
     def test_equals_form_override(self):
         cfg = parse_config(None, ["--nx=41"])
@@ -167,13 +167,14 @@ class TestSolve:
         ["--pole_min", "-5", "--pole_max", "0.9"],    # ring radius -2.05
         ["--pole_layout", "uniform", "--pole_min", "-5", "--pole_max", "0.9"],
         ["--pole_layout", "spiral"],
-        ["--guard", "-1"],
-        ["--guard", "nan"],
         ["--a", "inf"],
         ["--b", "inf"],
         ["--b", "1e-300"],                            # dy*dy underflows
-    ], ids=["ring_radius", "uniform_poles", "layout", "guard", "guard_nan",
-            "a_inf", "b_inf", "b_tiny"])
+        ["--a", "1e308", "--b", "1e-150"],            # 5*dx/dy**2 overflows
+        ["--example", "combo",                        # the data overflow
+         "--terms", "1e308*cos1+1e308*cos1+1e308*cos1"],
+    ], ids=["ring_radius", "uniform_poles", "layout", "a_inf", "b_inf",
+            "b_tiny", "step_overflow", "data_overflow"])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys,
                                                override):
         out = tmp_path / "run9"
@@ -195,7 +196,9 @@ class TestSolve:
     @pytest.mark.parametrize("key,value", [("bottom_closure", "ghost"),
                                            ("gain_method", "tuned"),
                                            ("max_sweeps", "0"),
-                                           ("tol", "nan")])
+                                           ("tol", "nan"),
+                                           ("guard", "-1"),
+                                           ("guard", "nan")])
     def test_removed_keys_are_unknown(self, tmp_path, capsys, key, value):
         out = tmp_path / "run10"
         cfg = write_config(tmp_path, BASE_CONFIG.format(out=out)
@@ -209,6 +212,32 @@ class TestSolve:
         assert all(line.startswith("configuration error: unknown "
                                    "configuration key") for line in err)
         assert not out.exists()
+
+    def test_overflowing_march_fails(self, tmp_path, capsys):
+        # the data term K f overflows: the march names the first state
+        # that is not finite, with no warning or traceback
+        out = tmp_path / "run13"
+        cfg = write_config(tmp_path, BASE_CONFIG.format(out=out)
+                           + "example = combo\n"
+                           "terms = 1e308*cos1+1e308*cos1\n")
+        assert main(["solve", "--config", cfg]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "solver overflowed: state is not finite at warm-up step 1\n")
+
+    def test_large_data_are_not_refused(self, tmp_path):
+        # the march is linear in the data, so 50 or 1e200 times the data
+        # give the same relative error; no bound on the state's size
+        # refuses them
+        errors = []
+        for coeff in ("1.0", "50.0", "1e200"):
+            out = tmp_path / coeff
+            cfg = write_config(tmp_path, BASE_CONFIG.format(out=out)
+                               + f"example = combo\nterms = {coeff}*cos1\n")
+            assert main(["solve", "--config", cfg, "--ny", "6"]) == EXIT_OK
+            history = (out / "history.csv").read_text().splitlines()
+            errors.append(float(history[1].split(",")[2]))
+        for err in errors[1:]:
+            assert abs(err - errors[0]) <= 1e-5 * errors[0]
 
     def test_missing_config_file(self):
         assert main(["solve", "--config", "/nonexistent/x.cfg"]) == EXIT_USAGE

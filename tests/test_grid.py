@@ -26,6 +26,7 @@ def test_fine_domain_spacing():
     dict(a=float("nan"), b=1.0, nx=5, ny=5),
     dict(a=1.0, b=1e-300, nx=5, ny=5),      # dy*dy underflows to 0
     dict(a=1.0, b=1e-154, nx=5, ny=5),      # 1/dy**2 overflows
+    dict(a=1e308, b=1e-150, nx=257, ny=5),  # 5*dx/dy**2 overflows
 ])
 def test_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError):

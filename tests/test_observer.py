@@ -10,6 +10,7 @@ from cauchy_observer import (CauchyData, GainVector, NonFiniteState, ObserverCon
                              error_bottom, make_cauchy_data, neumann_example,
                              ring_poles, run, sweep_form, top_residual,
                              uniform_poles)
+from cauchy_observer.observer import discrete_l2
 
 A, B = 2 * np.pi, 0.5
 
@@ -57,6 +58,19 @@ class TestNorms:
         with pytest.warns(UserWarning):
             err = error_bottom(field, np.zeros(9), grid.dx)
         assert err == pytest.approx(np.sqrt(2 * np.pi), rel=1e-12)
+
+    def test_norm_of_values_near_the_float_range(self):
+        # the squares of these values overflow; the norm scales exactly
+        grid = build_grid(A, B, 65, 3)
+        ref = np.cos(2 * grid.x)
+        field = np.zeros((65, 6))
+        field[:, 0] = ref + 0.01
+        for power in (600, 1000):
+            big = 2.0 ** power
+            assert discrete_l2(big * ref, grid.dx) == big * discrete_l2(
+                ref, grid.dx)
+            assert error_bottom(big * field, big * ref, grid.dx) == (
+                error_bottom(field, ref, grid.dx))
 
     def test_length_mismatch_rejected(self):
         grid = build_grid(A, B, 9, 3)
@@ -149,30 +163,23 @@ class TestRun:
         # the certified 65x5 ring gain settles only after W = 87 >= 64
         # steps, so the warm-up wraps around the data; from rest it peaks
         # near 1.5e4 within its first steps, and a sweep from an explicit
-        # zero start line near 1.3e5
+        # zero start line near 1.3e5.  Data scaled to lift that peak past
+        # the float range overflow; the step named is the first state of
+        # a per-step march of the same inputs that is not finite
         grid, mats, gain, _, data = standard_problem(65, 5, "ring")
         steps, W = grid.nx - 1, gain.settle_steps
         assert W >= steps
         problem = ObserverProblem(grid, data, mats, gain)
-        guard = 1e4
-        ny, k = grid.ny, gain.k
-        # per-step reference marches of the wrapped warm-up and its sweep,
-        # and of the sweep alone, both from rest
-        for start, rows, label in ((None, range(-W, steps), "warm-up"),
-                                   (np.zeros(2 * ny), range(steps), "sweep")):
+        zero = np.zeros(2 * grid.ny)
+        M, _ = affine_form(problem)
+        for start, inputs, label in ((None, wrapped_inputs, "warm-up"),
+                                     (zero, sweep_inputs, "sweep")):
+            size = np.abs(per_step_march(M, inputs(problem), zero)).max(axis=1)
+            big = scaled_data(problem, past_float_range(size.max()))
             with pytest.raises(NonFiniteState) as excinfo:
-                run(problem, ObserverConfig(start_line=start, guard=guard))
-            s = np.zeros(2 * ny)
-            first_out = None
-            for t, n in enumerate(rows, 1):
-                n %= steps
-                b = np.zeros(2 * ny)
-                b[-1] = -2.0 * data.g[n] / grid.dy
-                s = mats.F @ s - k * (s[ny - 1] - data.f[n]) + grid.dx * b
-                if not (np.abs(s) <= guard).all():
-                    first_out = t
-                    break
-            assert first_out is not None and first_out > 1
+                run(big, ObserverConfig(start_line=start))
+            first_out = first_non_finite(M, inputs(big), zero)
+            assert first_out > 1
             named = int(re.search(label + r" step (\d+)",
                                   str(excinfo.value)).group(1))
             assert named == first_out
@@ -199,11 +206,6 @@ class TestRun:
         with pytest.raises(ValueError):
             ObserverProblem(grid, bad, mats, gain)
 
-    @pytest.mark.parametrize("guard", [0.0, -1.0, float("nan")])
-    def test_non_positive_guard_rejected(self, guard):
-        with pytest.raises(ValueError, match="guard"):
-            ObserverConfig(guard=guard)
-
     def test_bad_start_line_shape(self):
         # a whole (nx, 2*ny) field is refused, as is any shape but (2*ny,)
         grid, mats, gain, _, data = standard_problem()
@@ -226,8 +228,6 @@ WINDOW = [(129, 5, 1)] + [(nx, ny, k) for nx, ny in ((257, 5), (385, 5),
 STALLED = [(nx, ny, k, "ring") for nx, ny in ((65, 3), (65, 5), (129, 3))
            for k in (1, 2)] + [(129, 5, 2, "ring")] + [
     (nx, 5, k, "uniform") for nx in (129, 257) for k in (1, 2)]
-# for explicit start lines far from the fixed point
-NO_GUARD = 1e300
 
 
 def window_problem(nx, ny, k, parity, layout="ring"):
@@ -253,8 +253,8 @@ def chained_sweeps(problem, count, reference=None):
     started from the previous sweep's last line."""
     line = np.zeros(2 * problem.grid.ny)
     for _ in range(count):
-        field, report = run(problem, ObserverConfig(
-            start_line=line, guard=NO_GUARD), reference=reference)
+        field, report = run(problem, ObserverConfig(start_line=line),
+                            reference=reference)
         line = field[-1]
     return field, report
 
@@ -308,32 +308,26 @@ class TestWarmStart:
         expected, _ = run(problem)
         field = np.random.default_rng(3).standard_normal((grid.nx, 2 * grid.ny))
         for _ in range(3):
-            field, report = run(problem, ObserverConfig(start_line=field[-1],
-                                                        guard=NO_GUARD))
+            field, report = run(problem, ObserverConfig(start_line=field[-1]))
             assert report.warmup_steps == 0 and report.sweeps == 1
             assert report.converged_at is None
         scale = np.abs(expected).max()
         assert np.abs(field - expected).max() <= 1e-9 * scale
 
     def test_guard_names_the_warmup_step(self):
+        # data scaled to lift the warm-up's peak past the float range
+        # overflow within the warm-up, at the first state of a per-step
+        # reference march of the same inputs that is not finite
         problem, _ = window_problem(257, 5, 1, "cos")
-        grid, mats, data = problem.grid, problem.mats, problem.cauchy
-        k = problem.gain.k
-        guard = 1e8
+        W, zero = problem.gain.settle_steps, np.zeros(2 * problem.grid.ny)
+        M, _ = affine_form(problem)
+        size = np.abs(per_step_march(M, wrapped_inputs(problem), zero)).max(
+            axis=1)
+        big = scaled_data(problem, past_float_range(size[:W + 1].max()))
         with pytest.raises(NonFiniteState) as excinfo:
-            run(problem, ObserverConfig(guard=guard))
-        # per-step reference march of the last W steps from rest
-        ny, steps, W = grid.ny, grid.nx - 1, problem.gain.settle_steps
-        s = np.zeros(2 * ny)
-        first_out = None
-        for i, n in enumerate(range(steps - W, steps), 1):
-            b = np.zeros(2 * ny)
-            b[-1] = -2.0 * data.g[n] / grid.dy
-            s = mats.F @ s - k * (s[ny - 1] - data.f[n]) + grid.dx * b
-            if not (np.abs(s) <= guard).all():
-                first_out = i
-                break
-        assert first_out is not None and first_out > 1
+            run(big)
+        first_out = first_non_finite(M, wrapped_inputs(big), zero)
+        assert 1 < first_out <= W
         named = int(re.search(r"warm-up step (\d+)", str(excinfo.value)).group(1))
         assert named == first_out
 
@@ -348,9 +342,34 @@ def per_step_march(M, V, x0, dtype=float):
     return out
 
 
+def first_non_finite(M, V, x0):
+    """Step of the first state of ``per_step_march`` that is not finite."""
+    with np.errstate(all="ignore"):
+        states = per_step_march(M, V, x0)
+    bad = ~np.isfinite(states).all(axis=1)
+    assert bad.any()
+    return int(bad.argmax())
+
+
+def past_float_range(size):
+    """The least power of two that scales ``size`` past the float range."""
+    return 2.0 ** np.ceil(np.log2(np.finfo(float).max / size))
+
+
+def scaled_data(problem, factor):
+    cauchy = problem.cauchy
+    return dataclasses.replace(problem, cauchy=CauchyData(
+        f=factor * cauchy.f, g=factor * cauchy.g))
+
+
 def affine_form(problem):
     return sweep_form(problem.mats, problem.gain.k, problem.cauchy.f,
                       problem.cauchy.g)
+
+
+def sweep_inputs(problem):
+    """The inputs of a run from an explicit start line: one sweep's rows."""
+    return affine_form(problem)[1]
 
 
 def wrapped_inputs(problem):
@@ -383,9 +402,22 @@ class TestWindowedMarch:
                                  problem.grid.dx)
         assert abs(report.bottom_error - plain_err) <= 1e-5 * plain_err
 
+    @pytest.mark.parametrize("power", [6, 40, -30])
+    @pytest.mark.parametrize("nx,ny,k", WINDOW + [(65, 5, 1)])
+    def test_field_scales_with_the_data(self, nx, ny, k, power):
+        # a certified march is linear: data scaled by a power of two give
+        # the field scaled by it, bit for bit, at any size short of
+        # overflow (65x5 marches as one block)
+        problem, _ = window_problem(nx, ny, k, "cos")
+        field, report = run(problem)
+        big, big_report = run(scaled_data(problem, 2.0 ** power))
+        assert np.array_equal(big, 2.0 ** power * field)
+        assert big_report.periodicity_defect == report.periodicity_defect
+
     def test_guard_names_a_step_in_a_late_block(self):
         # data vanish outside nodes 1400..1700, so the warm-up and the first
-        # 1400 states are zero and the guard first trips in a late block
+        # 1400 states are zero and the scaled data first overflow in a late
+        # block
         problem, _ = window_problem(2049, 3, 1, "cos")
         grid = problem.grid
         f = np.zeros(grid.nx)
@@ -393,13 +425,14 @@ class TestWindowedMarch:
         problem = dataclasses.replace(
             problem, cauchy=CauchyData(f=f, g=np.zeros(grid.nx)))
         M, U = affine_form(problem)
-        size = np.abs(per_step_march(M, U, np.zeros(2 * grid.ny))).max(axis=1)
-        first_out = int((size > 0.5 * size.max()).argmax())
-        assert first_out > 1000
-        # halfway between the last state inside and the first one outside
-        guard = 0.5 * (size[first_out - 1] + size[first_out])
+        zero = np.zeros(2 * grid.ny)
+        size = np.abs(per_step_march(M, U, zero)).max(axis=1)
+        first_big = int((size > 0.5 * size.max()).argmax())
+        big = scaled_data(problem, past_float_range(size[first_big]))
         with pytest.raises(NonFiniteState) as excinfo:
-            run(problem, ObserverConfig(guard=guard))
+            run(big)
+        first_out = first_non_finite(M, sweep_inputs(big), zero)
+        assert first_out > 1000
         named = int(re.search(r"sweep step (\d+)", str(excinfo.value)).group(1))
         assert named == first_out
 
@@ -412,8 +445,7 @@ class TestWindowedMarch:
         if guess:
             start = np.random.default_rng(4).standard_normal(
                 (grid.nx, 2 * grid.ny))[-1]
-            field, report = run(problem, ObserverConfig(
-                start_line=start, guard=NO_GUARD))
+            field, report = run(problem, ObserverConfig(start_line=start))
             expected = per_step_march(M, U, start)
         else:
             field, report = run(problem)
