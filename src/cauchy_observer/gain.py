@@ -44,10 +44,10 @@ class PoleSpec:
         p = np.asarray(self.poles, dtype=complex)
         if np.abs(p).max() >= 1.0:
             raise ValueError("all poles must have modulus < 1")
-        cplx = p[np.abs(p.imag) > 1e-14]
+        cplx = [z for z in p.tolist() if abs(z.imag) > 1e-14]
         key = lambda z: (round(z.real, 9), round(z.imag, 9))
-        upper = sorted(cplx[cplx.imag > 0], key=key)
-        lower = sorted(np.conj(cplx[cplx.imag < 0]), key=key)
+        upper = sorted([z for z in cplx if z.imag > 0], key=key)
+        lower = sorted([z.conjugate() for z in cplx if z.imag < 0], key=key)
         if len(upper) != len(lower) or any(
                 abs(u - l) > 1e-12 for u, l in zip(upper, lower)):
             raise ValueError("complex poles must come in conjugate pairs")
@@ -138,6 +138,7 @@ def settle_steps(M: np.ndarray) -> Optional[int]:
 def _real_poly_from_poles(poles: np.ndarray, dtype) -> np.ndarray:
     """Monic polynomial coefficients (highest first) from a conjugate-closed set."""
     coeffs = np.array([dtype(1.0)])
+    poles = poles.tolist()
     reals = sorted(p.real for p in poles if abs(p.imag) <= 1e-14)
     pairs = [p for p in poles if p.imag > 1e-14]
     for r in reals:
@@ -157,26 +158,29 @@ def _real_poly_from_poles(poles: np.ndarray, dtype) -> np.ndarray:
 
 
 def _solve_extended(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting in extended precision."""
+    """Gauss-Jordan elimination with partial pivoting in extended precision.
+
+    Each column is cleared by one outer-product update of the other rows,
+    the same products and differences as updating them one at a time."""
     n = A.shape[0]
     M = np.concatenate([A, rhs[:, None]], axis=1)
     for col in range(n):
         piv = col + int(np.abs(M[col:, col]).argmax())
         if M[piv, col] == 0.0:
             raise ObservabilityDeficient("observability matrix is singular")
-        M[[col, piv]] = M[[piv, col]]
-        M[col] = M[col] / M[col, col]
-        for r in range(n):
-            if r != col:
-                M[r] -= M[r, col] * M[col]
+        row = M[piv] / M[piv, col]
+        M[piv] = M[col]
+        M[col] = 0.0            # the pivot row's factor below is 0
+        M -= np.outer(M[:, col], row)
+        M[col] = row
     return M[:, -1]
 
 
 def _match_spectra(achieved: np.ndarray, requested: np.ndarray) -> float:
     """Max pairing distance between two spectra under sorted matching."""
     key = lambda z: (round(z.real, 9), round(z.imag, 9))
-    a = np.array(sorted(achieved, key=key))
-    r = np.array(sorted(requested, key=key))
+    a = np.array(sorted(achieved.tolist(), key=key))
+    r = np.array(sorted(requested.tolist(), key=key))
     return float(np.abs(a - r).max())
 
 
@@ -213,9 +217,9 @@ def ackermann_gain(F: np.ndarray, C_row: np.ndarray, spec: PoleSpec,
     Fw = F.astype(ld)
     Ow = observability_matrix(F, C, ld)
     coeffs = _real_poly_from_poles(spec.poles, ld)
-    Q = np.zeros_like(Fw)
     eye = np.eye(n, dtype=ld)
-    for c in coeffs:
+    Q = coeffs[0] * eye
+    for c in coeffs[1:]:
         Q = Q @ Fw + c * eye
     e_last = np.zeros(n, dtype=ld)
     e_last[-1] = 1.0

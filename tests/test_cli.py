@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from cauchy_observer.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, RunConfig,
-                                 main, parse_config, write_csv)
+from cauchy_observer.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, USAGE,
+                                 RunConfig, main, parse_config, write_csv)
 
 BASE_CONFIG = """\
 # boundary recovery, single cosine data
@@ -242,8 +242,9 @@ class TestSolve:
     def test_missing_config_file(self):
         assert main(["solve", "--config", "/nonexistent/x.cfg"]) == EXIT_USAGE
 
-    def test_no_subcommand_is_usage_error(self):
+    def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", USAGE + "\n")
 
     def test_combo_terms(self, tmp_path):
         out = tmp_path / "run5"
@@ -276,6 +277,95 @@ class TestSolve:
             b1 = (outs[0] / fname).read_bytes()
             b2 = (outs[1] / fname).read_bytes()
             assert b1 == b2, fname
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["solve", "--help"],
+                                      ["diagnose", "-h"]])
+    def test_help_prints_usage(self, capsys, argv):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == (USAGE + "\n", "")
+
+    @pytest.mark.parametrize("argv,err", [
+        (["frobnicate"], USAGE),
+        (["solve", "--config"], "configuration error: --config needs a value"),
+        (["solve", "--nx", "33", "--ny"],
+         "configuration error: --ny needs a value"),
+        (["solve", "--conf", "run.cfg"],
+         "configuration error: unknown configuration key: 'conf'"),
+        (["diagnose", "output"],
+         "configuration error: expected an override flag, got 'output'"),
+    ], ids=["unknown_command", "config_without_value",
+            "override_without_value", "abbreviated_config", "bare_value"])
+    def test_usage_errors_return_64(self, tmp_path, monkeypatch, capsys, argv,
+                                    err):
+        # main returns the code in process; it never raises SystemExit
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", err + "\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_equals_form(self, tmp_path):
+        out = tmp_path / "eq"
+        cfg = write_config(tmp_path, BASE_CONFIG.format(out=out))
+        assert main(["solve", f"--config={cfg}", "--nx=129"]) == EXIT_OK
+        assert len((out / "boundary.csv").read_text().splitlines()) == 130
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command", ["solve", "diagnose"])
+    @pytest.mark.parametrize("where", ["file", "under_file"])
+    def test_unusable_output_dir_is_usage_error(self, tmp_path, capsys,
+                                                command, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out = blocker if where == "file" else blocker / "sub"
+        assert main([command, "--output_dir", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"configuration error: cannot create output_dir {str(out)!r}: ")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == "not a directory\n"
+
+    @staticmethod
+    def contents(out):
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def test_solve_rerun_with_shorter_files(self, tmp_path):
+        # the second run's files are shorter; what the first run left must
+        # not show through
+        cfg = write_config(tmp_path, BASE_CONFIG.format(out=tmp_path / "x"))
+        again, fresh = tmp_path / "again", tmp_path / "fresh"
+        assert main(["solve", "--config", cfg, "--nx", "513", "--ny", "3",
+                     "--output_dir", str(again)]) == EXIT_OK
+        for out in (again, fresh):
+            assert main(["solve", "--config", cfg, "--nx", "129",
+                         "--output_dir", str(out)]) == EXIT_OK
+        assert self.contents(again) == self.contents(fresh)
+        assert len(self.contents(fresh)) == 4
+
+    def test_diagnose_rerun_with_shorter_files(self, tmp_path):
+        again, fresh = tmp_path / "again", tmp_path / "fresh"
+        assert main(["diagnose", "--modes_min", "-6", "--modes_max", "12",
+                     "--output_dir", str(again)]) == EXIT_OK
+        for out in (again, fresh):
+            assert main(["diagnose", "--quadrature", "1001",
+                         "--output_dir", str(out)]) == EXIT_OK
+        assert self.contents(again) == self.contents(fresh)
+        assert len(self.contents(fresh)) == 2
+
+    def test_linked_output_is_replaced_not_written_through(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        target = tmp_path / "target.csv"
+        target.write_text("kept\n")
+        (out / "gain.csv").symlink_to(target)
+        (out / "plot.gp").hardlink_to(target)
+        assert main(["solve", "--nx", "129", "--output_dir", str(out)]) == EXIT_OK
+        assert target.read_text() == "kept\n"
+        assert not (out / "gain.csv").is_symlink()
+        assert (out / "gain.csv").read_text().startswith("method,")
+        assert (out / "plot.gp").stat().st_nlink == 1
 
 
 class TestShippedConfigs:

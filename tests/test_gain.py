@@ -5,8 +5,74 @@ from cauchy_observer import (ObservabilityDeficient, PlacementFailed, PoleSpec,
                              ackermann_gain, assemble, build_grid,
                              observability_matrix, ring_poles, settle_steps,
                              uniform_poles)
+from cauchy_observer.gain import PLACEMENT_TOL_SCALE, _solve_extended
 
 A, B = 2 * np.pi, 0.5
+# the grids of the working window (test_observer.WINDOW) and the grids where
+# a sweep is shorter than the settling step count
+GRIDS = [(129, 5), (257, 5), (385, 5), (257, 6), (513, 3), (1025, 3),
+         (2049, 3), (65, 3), (65, 5), (129, 3)]
+
+
+def row_by_row_solve(A_, rhs):
+    """Gauss-Jordan elimination with partial pivoting, one row at a time."""
+    n = A_.shape[0]
+    M = np.concatenate([A_, rhs[:, None]], axis=1)
+    for col in range(n):
+        piv = col + int(np.abs(M[col:, col]).argmax())
+        if M[piv, col] == 0.0:
+            raise ObservabilityDeficient("observability matrix is singular")
+        M[[col, piv]] = M[[piv, col]]
+        M[col] = M[col] / M[col, col]
+        for r in range(n):
+            if r != col:
+                M[r] -= M[r, col] * M[col]
+    return M[:, -1]
+
+
+def reference_gain(F, C, spec, cond_cap=1e12):
+    """Ackermann's formula done plainly: the pole polynomial from numpy
+    scalars, q(F) by Horner from a zero matrix, row-by-row elimination;
+    returns (k, spectral radius, cond(O), settle steps)."""
+    O = observability_matrix(F, C)
+    cond = float(np.linalg.cond(O))
+    if cond > cond_cap:
+        raise ObservabilityDeficient(f"condition {cond:.3e}")
+    ld = np.longdouble
+    coeffs = np.array([ld(1.0)])
+    for r in sorted(p.real for p in spec.poles if abs(p.imag) <= 1e-14):
+        nxt = np.zeros(len(coeffs) + 1, dtype=ld)
+        nxt[:-1] += coeffs
+        nxt[1:] -= ld(r) * coeffs
+        coeffs = nxt
+    for p in [p for p in spec.poles if p.imag > 1e-14]:
+        nxt = np.zeros(len(coeffs) + 2, dtype=ld)
+        nxt[:-2] += coeffs
+        nxt[1:-1] += ld(-2.0 * p.real) * coeffs
+        nxt[2:] += ld(p.real * p.real + p.imag * p.imag) * coeffs
+        coeffs = nxt
+    Fw = F.astype(ld)
+    Q = np.zeros_like(Fw)
+    for c in coeffs:
+        Q = Q @ Fw + c * np.eye(len(F), dtype=ld)
+    e_last = np.zeros(len(F), dtype=ld)
+    e_last[-1] = 1.0
+    k = np.asarray(Q @ row_by_row_solve(observability_matrix(F, C, ld),
+                                        e_last), dtype=float)
+    M = F - np.outer(k, C)
+    achieved = np.linalg.eigvals(M)
+    key = lambda z: (round(z.real, 9), round(z.imag, 9))
+    mismatch = np.abs(np.array(sorted(achieved, key=key))
+                      - np.array(sorted(spec.poles, key=key))).max()
+    if mismatch > PLACEMENT_TOL_SCALE * (1.0 + np.abs(spec.poles).max()):
+        raise PlacementFailed(f"misses request by {mismatch:.3e}")
+    return k, float(np.abs(achieved).max()), cond, settle_steps(M)
+
+
+def same_bits(x, y):
+    """Equal values with equal signs of zero (long-double padding ignored)."""
+    return (x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
+            and np.array_equal(np.signbit(x), np.signbit(y)))
 
 
 class TestObservabilityMatrix:
@@ -141,6 +207,52 @@ class TestAckermann:
         for _ in range(200):
             e = M @ e
         assert np.linalg.norm(e) <= 1e-3 * np.linalg.norm(e0)
+
+
+class TestExtendedSolve:
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_matches_row_by_row_elimination(self, n):
+        # a strictly column diagonally dominant matrix keeps its pivots on
+        # the diagonal; with its rows reversed, the first n // 2 columns
+        # pivot on a row swap
+        rng = np.random.default_rng(n)
+        for trial in range(8):
+            D = rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)
+            A_ = (D[::-1] * 10.0 ** rng.integers(-6, 7, n)).astype(
+                np.longdouble) / np.longdouble(3.0)
+            if trial % 2:
+                rhs = np.zeros(n, dtype=np.longdouble)
+                rhs[-1] = 1.0
+            else:
+                rhs = rng.standard_normal(n).astype(np.longdouble)
+            assert same_bits(_solve_extended(A_.copy(), rhs.copy()),
+                             row_by_row_solve(A_, rhs))
+
+    def test_singular_system_raises(self):
+        A_ = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]],
+                      dtype=np.longdouble)
+        with pytest.raises(ObservabilityDeficient, match="singular"):
+            _solve_extended(A_, np.ones(3, dtype=np.longdouble))
+
+
+class TestGainBits:
+    @pytest.mark.parametrize("layout", ["ring", "uniform"])
+    @pytest.mark.parametrize("nx,ny", GRIDS)
+    def test_matches_reference_design(self, nx, ny, layout):
+        mats = assemble(build_grid(A, B, nx, ny))
+        spec = (ring_poles(2 * ny, 0.55) if layout == "ring"
+                else uniform_poles(2 * ny, 0.3, 0.8))
+        try:
+            want = reference_gain(mats.F, mats.C_row, spec)
+        except PlacementFailed:
+            # 257x6 uniform: not representable in double precision
+            with pytest.raises(PlacementFailed):
+                ackermann_gain(mats.F, mats.C_row, spec)
+            return
+        gv = ackermann_gain(mats.F, mats.C_row, spec)
+        assert gv.k.tobytes() == want[0].tobytes()
+        assert (gv.spectral_radius, gv.obs_condition,
+                gv.settle_steps) == want[1:]
 
 
 class TestSettleSteps:
