@@ -10,12 +10,14 @@ endings) so that identical runs produce byte-identical artifacts, plus a
 gnuplot script that renders them.  Each output replaces any file of its name
 (see ``replace_file``).
 
-Exit codes: 0 success, 1 runtime failure, 64 bad usage or configuration,
-an output directory that cannot be created included.  Usage and
-configuration errors are found before the output directory is created.
+Exit codes: 0 success, 1 runtime failure (an output file that cannot be
+written included; the outputs written before it stay), 64 bad usage or
+configuration, an output directory that cannot be created included.  Usage
+and configuration errors are found before the output directory is created.
 ``main`` returns every exit code; it never raises SystemExit.
 """
 
+import contextlib
 import math
 import os
 import sys
@@ -62,6 +64,10 @@ class RunConfig:
 
 class ConfigError(Exception):
     pass
+
+
+class OutputError(Exception):
+    """An output file could not be written; the message names it."""
 
 
 def parse_config(path: Optional[str], overrides: List[str]) -> RunConfig:
@@ -161,29 +167,37 @@ def replace_file(path: Path, text: str) -> None:
     create, and every re-run into one directory (``output_dir`` defaults to
     ``.``) rewrites all its outputs.  The trade-off: a symlink or a hard
     link at ``path`` is replaced by a new file, not written through, and
-    the new file gets default permissions."""
+    the new file gets default permissions.  An OSError from the unlink
+    (other than a missing file) or the write, such as a directory at
+    ``path`` or a full disk, is raised as OutputError."""
     try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-    with open(path, "xb") as fh:
-        fh.write(text.encode("ascii"))
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        with open(path, "xb") as fh:
+            fh.write(text.encode("ascii"))
+    except OSError as exc:
+        raise OutputError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def write_csv(path: Path, header: List[str], rows) -> None:
-    """Write one CSV table, each row by a single %-format built from the
-    types of its fields.  Numeric tables format fastest as Python floats, so
-    callers pass ``ndarray.tolist()`` rather than rows of numpy scalars."""
-    formats = {}
-    lines = [",".join(header)]
-    for row in rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = ",".join([_spec(k) for k in kinds])
-        lines.append(fmt % row)
-    replace_file(path, "\n".join(lines) + "\n")
+def write_csv(path: Path, header: List[str], fields) -> None:
+    """Write one CSV table from its fields in row-major order, ``len(header)``
+    to a row, with a single %-format: the line format is built from the
+    first row's field types and repeated for every row.  A field whose type
+    calls for another spec than its column's first field raises ValueError,
+    so no field is formatted with the wrong spec.  Python floats format
+    fastest, so callers pass ``ndarray.ravel().tolist()`` rather than numpy
+    scalars."""
+    fields = tuple(fields)
+    ncols = len(header)
+    specs = [_spec(type(v)) for v in fields[:ncols]]
+    for col, spec in enumerate(specs):
+        if any(_spec(kind) != spec for kind in set(map(type, fields[col::ncols]))):
+            raise ValueError(f"{path.name}: column {header[col]!r} mixes "
+                             f"field types")
+    line = "\n" + ",".join(specs)
+    text = (line * (len(fields) // ncols)) % fields
+    replace_file(path, ",".join(header) + text + "\n")
 
 
 _PLOT_SCRIPT = """\
@@ -252,8 +266,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     write_csv(out / "gain.csv",
               ["method", "pole_min", "pole_max", "spectral_radius",
                "obs_matrix_condition"],
-              [["ackermann", float(reals.min()), float(reals.max()),
-                gain.spectral_radius, gain.obs_condition]])
+              ["ackermann", float(reals.min()), float(reals.max()),
+               gain.spectral_radius, gain.obs_condition])
 
     problem = ObserverProblem(grid=grid, cauchy=cauchy, mats=mats, gain=gain)
     try:
@@ -268,9 +282,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     exact = bottom_trace(sol, grid)
     write_csv(out / "boundary.csv",
               ["x", "exact_bottom", "estimated_bottom"],
-              np.column_stack((grid.x, exact, field[:, 0])).tolist())
+              np.column_stack((grid.x, exact, field[:, 0])).ravel().tolist())
     write_csv(out / "history.csv", ["sweep", "top_residual", "bottom_error"],
-              [[1, report.top_residual, report.bottom_error]])
+              [1, report.top_residual, report.bottom_error])
     replace_file(out / "plot.gp", _PLOT_SCRIPT)
     print(f"one sweep after a {report.warmup_steps}-step warm-up; "
           f"periodicity defect {report.periodicity_defect:.1e}; "
@@ -289,8 +303,9 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     xs = (0.0, 0.1, 0.5)
     G, resid, bounds = spectral.diagnostics(modes, xs)
     gram_err = np.abs(G - np.eye(len(G))).max(axis=1)
-    rows = [[m.n, m.lam, m.rho, err, res] for m, err, res
-            in zip(modes.modes(), gram_err.tolist(), resid.tolist())]
+    rows = [v for m, err, res in zip(modes.modes(), gram_err.tolist(),
+                                     resid.tolist())
+            for v in (m.n, m.lam, m.rho, err, res)]
     all_ok = not (gram_err > 1e-6).any()
     write_csv(out / "spectral.csv",
               ["n", "lambda", "rho", "gram_err", "eigen_residual"], rows)
@@ -298,7 +313,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     if not (bounds > 0.0).all():
         all_ok = False
     write_csv(out / "observability.csv", ["x", "lower_bound"],
-              zip(xs, bounds.tolist()))
+              [v for row in zip(xs, bounds.tolist()) for v in row])
     print(f"diagnostics written to {out.resolve()}")
     return EXIT_OK if all_ok else EXIT_RUNTIME
 
@@ -327,6 +342,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OutputError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

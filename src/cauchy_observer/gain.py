@@ -115,9 +115,14 @@ def settle_steps(M: np.ndarray) -> Optional[int]:
     the squared powers to the first W below 2^j whose computed power
     settles: about 2j small matrix products.  Each test uses the Frobenius
     norm, an upper bound on the 2-norm, and the returned W is always one
-    whose computed power passed; rounding in the squared powers only makes
-    W larger than a plain power scan would (99 against 70 for the ring gain
-    at 257x5).
+    whose computed power passed.  The squared powers are not the true ones:
+    rounding puts M^128 at 257x6 off by 1.3e5 relative in the 2-norm
+    (against long-double sequential products), so W is evidenced by a test,
+    not proved.  On the ring-gain grids of the working window, the
+    sequential float64 powers M^(W+j), j < 32, that the lockstep march
+    drops stay within 32 units of 2**-52 (at most 24, at 2049x3).  The first
+    settled step of a plain power scan (66 to 72 there, against W of 90 to
+    128) would not do: the 32 powers after it climb back to 1e4-1e9 units.
     """
     powers = [np.asarray(M, dtype=float)]    # powers[i] = M^(2^i)
     # an unstable M overflows while squaring; inf and nan never settle

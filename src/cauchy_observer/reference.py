@@ -8,6 +8,11 @@ with trig in {cos, sin}.  Each term is harmonic, has zero normal derivative
 on the top boundary, and its trace on the bottom boundary is exactly
 coeff * trig(4*pi*k*x/a).  Cosine terms satisfy zero-Neumann side conditions,
 sine terms zero-Dirichlet ones.
+
+The pointwise evaluators (``evaluate``, ``d_dx``, ``d_dy``) sum the terms one
+by one at any points.  ``sample_state_field`` samples the whole (u, du/dx)
+grid field as one trig table per distinct frequency times one profile
+matrix, so its cost grows with the distinct frequencies, not with the terms.
 """
 
 from dataclasses import dataclass
@@ -141,8 +146,27 @@ def bottom_trace(sol: ReferenceSolution, grid: RectGrid) -> np.ndarray:
 def sample_state_field(sol: ReferenceSolution, grid: RectGrid) -> np.ndarray:
     """Stacked (u, du/dx) samples for every x node, shape (nx, 2*ny).
 
-    Its last line is a consistent start line; also used in accuracy studies.
+    One product of a trig table, cos(w x) and sin(w x) once per distinct
+    frequency w, and a profile matrix: each table row's line is the cosh
+    profile of its w times the summed [u | u_x] weights of the terms on that
+    row, the derivative's -w (cos terms) or +w (sin terms) folded into the
+    u_x weight.  Its last line is a consistent start line; also used in
+    accuracy studies.
     """
-    x = grid.x[:, None]
-    y = grid.y[None, :]
-    return np.concatenate([evaluate(sol, x, y), d_dx(sol, x, y)], axis=1)
+    ks = sorted({t.k for t in sol.terms})
+    w = 4.0 * np.pi * np.array(ks, dtype=float) / sol.a
+    # weights[trig, f, block]: trig 0 is cos(w_f x), 1 is sin(w_f x);
+    # block 0 is u, 1 is u_x
+    weights = np.zeros((2, len(ks), 2))
+    for t in sol.terms:
+        f = ks.index(t.k)
+        if t.parity == "cos":       # (c cos wx)' = -w c sin wx
+            weights[0, f, 0] += t.coeff
+            weights[1, f, 1] -= w[f] * t.coeff
+        else:                       # (c sin wx)' = w c cos wx
+            weights[1, f, 0] += t.coeff
+            weights[0, f, 1] += w[f] * t.coeff
+    wx = np.multiply.outer(w, grid.x)
+    rows = np.concatenate([np.cos(wx), np.sin(wx)])
+    prof = np.cosh(np.multiply.outer(w, grid.y - sol.b)) / np.cosh(w * sol.b)[:, None]
+    return rows.T @ (weights[..., None] * prof[:, None, :]).reshape(len(rows), -1)

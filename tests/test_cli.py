@@ -76,18 +76,37 @@ def per_value_format(value) -> str:
 
 class TestWriteCsv:
     def test_bytes_match_per_value_formatting(self, tmp_path):
+        # every column keeps one spec: integers (bool and numpy ones too),
+        # floats (numpy ones, signed zero, inf, nan, subnormals), text
         x = np.linspace(-1.0, 1.0, 7)
         rows = [[1, np.float64(0.1), -0.0, "", 1e-300],
-                [2, float("inf"), np.float64(-1.5e-7), "text", np.int64(7)],
-                [3, 1.0 / 3.0, -float("inf"), float("nan"), True],
-                [4, "", "", 5e-324, 2 ** 70]]
-        rows += np.random.default_rng(0).standard_normal((20, 5)).tolist()
-        rows += list(zip(range(5, 12), x, x ** 3, np.exp(x), -x))
+                [2, float("inf"), np.float64(-1.5e-7), "text", 5e-324],
+                [np.int64(3), 1.0 / 3.0, -float("inf"), "", float("nan")],
+                [True, np.float64(7), 2.0 ** 70, "a b", -0.0],
+                [2 ** 70, -1e308, 1e-320, "", 1.0]]
+        rows += [[i, *v, "", 0.5] for i, v in enumerate(
+            np.random.default_rng(0).standard_normal((20, 2)).tolist(), 5)]
+        rows += [[i, a, b, "", c] for i, a, b, c
+                 in zip(range(25, 32), x, x ** 3, np.exp(x))]
         header = ["a", "b", "c", "d", "e"]
-        write_csv(tmp_path / "t.csv", header, rows)
+        write_csv(tmp_path / "t.csv", header, [v for row in rows for v in row])
         want = "\n".join([",".join(header)] + [
             ",".join(per_value_format(v) for v in row) for row in rows]) + "\n"
         assert (tmp_path / "t.csv").read_bytes() == want.encode("ascii")
+
+    def test_empty_table_is_header_only(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [])
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
+
+    @pytest.mark.parametrize("first, odd", [
+        (1.5, 2), (1, 2.5), ("text", 1.5), (1.5, "text"), (np.int64(1), 0.5)])
+    def test_field_needing_another_spec_is_refused(self, tmp_path, first, odd):
+        # with one format for the whole table, a float in an integer column
+        # would print truncated; refuse it instead, and write nothing
+        fields = [first, 0.1, first, 0.2, odd, 0.3]
+        with pytest.raises(ValueError, match="column 'a' mixes field types"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], fields)
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestSolve:
@@ -353,6 +372,24 @@ class TestOutputDirectory:
                          "--output_dir", str(out)]) == EXIT_OK
         assert self.contents(again) == self.contents(fresh)
         assert len(self.contents(fresh)) == 2
+
+    @pytest.mark.parametrize("command, blocked, written", [
+        ("solve", "boundary.csv", {"gain.csv"}),
+        ("diagnose", "spectral.csv", set()),
+    ])
+    def test_unwritable_output_is_named(self, tmp_path, capsys, command,
+                                        blocked, written):
+        # a directory where an output file goes: the failure names the file,
+        # exits 1 without a traceback, and the outputs written before it stay
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        args = ["--nx", "129"] if command == "solve" else []
+        assert main([command, *args, "--output_dir", str(out)]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.err == f"cannot write {out / blocked}: Is a directory\n"
+        assert captured.out == ""
+        assert {p.name for p in out.iterdir()} == written | {blocked}
+        assert (out / blocked).is_dir()
 
     def test_linked_output_is_replaced_not_written_through(self, tmp_path):
         out = tmp_path / "out"

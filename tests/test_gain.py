@@ -8,10 +8,11 @@ from cauchy_observer import (ObservabilityDeficient, PlacementFailed, PoleSpec,
 from cauchy_observer.gain import PLACEMENT_TOL_SCALE, _solve_extended
 
 A, B = 2 * np.pi, 0.5
-# the grids of the working window (test_observer.WINDOW) and the grids where
-# a sweep is shorter than the settling step count
-GRIDS = [(129, 5), (257, 5), (385, 5), (257, 6), (513, 3), (1025, 3),
-         (2049, 3), (65, 3), (65, 5), (129, 3)]
+# the grids of the working window (test_observer.WINDOW), then the grids
+# where a sweep is shorter than the settling step count
+WINDOW_GRIDS = [(129, 5), (257, 5), (385, 5), (257, 6), (513, 3), (1025, 3),
+                (2049, 3)]
+GRIDS = WINDOW_GRIDS + [(65, 3), (65, 5), (129, 3)]
 
 
 def row_by_row_solve(A_, rhs):
@@ -268,6 +269,25 @@ class TestSettleSteps:
         for _ in range(W):
             P = P @ M
         assert np.linalg.norm(P, 2) <= 2.0 ** -52
+
+    @pytest.mark.parametrize("nx,ny", WINDOW_GRIDS)
+    def test_lockstep_window_stays_under_32_units(self, nx, ny):
+        # the lockstep march drops M^(W+j) times an earlier state for j < 32
+        # (observer module docstring); with the powers taken by sequential
+        # products those stay within 32 rounding units.  A plain power
+        # scan's first settled step is no substitute: the powers after it
+        # climb back far above that
+        mats = assemble(build_grid(A, B, nx, ny))
+        gv = ackermann_gain(mats.F, mats.C_row, ring_poles(2 * ny, 0.55))
+        M = mats.F - np.outer(gv.k, mats.C_row)
+        W, unit = gv.settle_steps, 2.0 ** -52
+        P, norms = np.eye(len(M)), []
+        for _ in range(W + 32):
+            norms.append(np.linalg.norm(P, 2))
+            P = P @ M
+        assert max(norms[W:]) <= 32 * unit
+        plain = next(n for n, v in enumerate(norms) if v <= unit)
+        assert plain < W and max(norms[plain:plain + 32]) > 1e3 * unit
 
     def test_exact_powers_give_the_first_settling_step(self):
         # powers of 1/2 are exact: ||M^W|| = 2^-W, first at most 2^-52 at 52

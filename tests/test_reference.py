@@ -85,6 +85,31 @@ def test_state_field_matches_pointwise_samples():
                                                           rel=1e-14, abs=1e-14)
 
 
+SAMPLER_TERMS = {
+    "cos1": [TrigTerm(1, 1.0, "cos")],
+    "cos1+sin1": [TrigTerm(1, 1.0, "cos"), TrigTerm(1, 0.5, "sin")],
+    "cos2+sin1-sin2": [TrigTerm(2, 1.0, "cos"), TrigTerm(1, 0.5, "sin"),
+                       TrigTerm(2, -0.3, "sin")],
+    "cos1-sin1+cos1": [TrigTerm(1, 0.7, "cos"), TrigTerm(1, -0.4, "sin"),
+                       TrigTerm(1, 0.2, "cos")],
+}
+
+
+@pytest.mark.parametrize("nx, ny", [(33, 3), (65, 8), (257, 5), (2049, 3)])
+@pytest.mark.parametrize("name", list(SAMPLER_TERMS))
+def test_state_field_matches_pointwise_reference(name, nx, ny):
+    """The table-times-profile sampler agrees with the term-by-term
+    evaluators to a few rounding units of the field's peak, also when
+    terms share a frequency (and so a table row)."""
+    sol = combo_example(SAMPLER_TERMS[name], A, B)
+    grid = build_grid(A, B, nx, ny)
+    field = sample_state_field(sol, grid)
+    x, y = grid.x[:, None], grid.y[None, :]
+    expect = np.concatenate([evaluate(sol, x, y), d_dx(sol, x, y)], axis=1)
+    assert field.shape == (nx, 2 * ny) and field.dtype == np.float64
+    assert np.abs(field - expect).max() <= 8 * 2.0 ** -52 * np.abs(field).max()
+
+
 def _five_point_laplacian_max(sol, nx, ny):
     grid = build_grid(A, B, nx, ny)
     x, y = grid.x, grid.y
