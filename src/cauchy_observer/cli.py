@@ -301,7 +301,9 @@ def cmd_diagnose(cfg: RunConfig) -> int:
         return EXIT_USAGE
     out = _output_dir(cfg)
     xs = (0.0, 0.1, 0.5)
-    G, resid, bounds = spectral.diagnostics(modes, xs)
+    G = spectral.gram_matrix(modes)
+    resid = spectral.eigen_residual(modes)
+    bounds = spectral.observability_lower_bound(modes, xs)
     gram_err = np.abs(G - np.eye(len(G))).max(axis=1)
     rows = [v for m, err, res in zip(modes.modes(), gram_err.tolist(),
                                      resid.tolist())

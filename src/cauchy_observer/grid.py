@@ -1,5 +1,6 @@
 """Uniform rectangular grid shared by the marching solver and data generators."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -12,6 +13,8 @@ class RectGrid:
 
     Row index 1 (the first y node) lies on the bottom boundary, row ny on the
     top boundary where the Cauchy data is given.  Immutable; safe to share.
+    The node arrays ``x`` and ``y`` are built on first read and are
+    read-only.
     """
 
     a: float
@@ -21,13 +24,18 @@ class RectGrid:
     dx: float
     dy: float
 
-    @property
+    @functools.cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(0.0, self.a, self.nx)
+        return _frozen(np.linspace(0.0, self.a, self.nx))
 
-    @property
+    @functools.cached_property
     def y(self) -> np.ndarray:
-        return np.linspace(0.0, self.b, self.ny)
+        return _frozen(np.linspace(0.0, self.b, self.ny))
+
+
+def _frozen(nodes: np.ndarray) -> np.ndarray:
+    nodes.flags.writeable = False
+    return nodes
 
 
 def build_grid(a: float, b: float, nx: int, ny: int) -> RectGrid:

@@ -18,21 +18,25 @@ product of two family members exactly (all frequencies complete a whole
 number of half periods), so the discrete Gram matrix is the identity to
 round-off when the first-component derivatives are supplied analytically.
 
-Each public diagnostic samples the mode family once per call, as whole
+The public diagnostics compute on the mode set sampled as whole
 (modes x nodes) arrays of the first components and their analytic
-derivatives, and computes on those arrays: the Gram matrix is two matrix
-products, the propagator two matrix-vector products for the coefficients and
-three for the output.  ``diagnostics`` serves the ``diagnose`` command's
-Gram matrix, eigen residuals and bounds from one sampling, which none of
-them alters.  Nothing is cached between calls.  The observability
-lower bound is sum_n (exp(lam_n x) * G_nn)^2 with G_nn the Gram diagonal,
-which equals sum_n exp(2 lam_n x) to round-off.
+derivatives: the Gram matrix is two matrix products, the propagator two
+matrix-vector products for the coefficients and three for the output.
+
+The sampling is memoized for one mode set at a time.  Every call on an equal
+mode set after the first reuses the same arrays, which are read-only; a call
+on a different set replaces them, so at most one family is held.
+``sample_mode`` samples one mode afresh and leaves the memo alone.
+
+The observability lower bound is sum_n (exp(lam_n x) * G_nn)^2 with G_nn the
+Gram diagonal, which equals sum_n exp(2 lam_n x) to round-off.
 
 Modes with lam_n > 0 grow under the propagator; no clamping is applied, the
 growth is inherent to the continuation problem and should stay visible in
 diagnostics.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,7 +68,10 @@ class EigenMode:
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Finite, duplicate-free truncation of the mode family plus a node count."""
+    """Finite, duplicate-free truncation of the mode family plus a node count.
+
+    The node count is stored as an ``int``; an integral float such as 101.0
+    becomes 101, so equal sets sample alike."""
 
     indices: tuple
     quadrature: int = DEFAULT_QUADRATURE
@@ -75,9 +82,17 @@ class ModeSet:
             raise ValueError("mode indices must be duplicate-free")
         if len(idx) == 0:
             raise ValueError("mode set must be nonempty")
-        if self.quadrature < 5:
+        try:
+            q = int(self.quadrature)
+        except (TypeError, ValueError, OverflowError):
+            q = None
+        if q is None or q != self.quadrature:
+            raise ValueError("quadrature must be a whole number of nodes, "
+                             f"got {self.quadrature!r}")
+        if q < 5:
             raise ValueError("quadrature needs at least 5 nodes")
         object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "quadrature", q)
 
     def modes(self):
         return [EigenMode(i) for i in self.indices]
@@ -132,23 +147,25 @@ def sample_mode(mode: EigenMode, quadrature: int) -> FunctionPair:
     return FunctionPair(p1=p1, p2=p2, dp1=dp1)
 
 
-def _sample_rows(modes: ModeSet, derivative: bool = True):
-    """Sample the whole mode set on its quadrature nodes.
+@functools.lru_cache(maxsize=1)
+def _sample_rows(modes: ModeSet):
+    """Sample the whole mode set on its quadrature nodes, memoized for the
+    last mode set asked for.
 
     Returns ``lam`` (one rate per mode), the ``p1`` rows (modes x nodes,
-    bit-identical to ``sample_mode``) and, if ``derivative``, the analytic
-    ``dp1`` rows, else None.  The second components are ``lam * p1`` and are
-    never stored.
+    bit-identical to ``sample_mode``) and the analytic ``dp1`` rows, all
+    read-only because every later call on an equal set gets the same arrays.
+    The second components are ``lam * p1`` and are never stored.
     """
     lam = mode_frequency(np.array(modes.indices, dtype=float))
     rho = 1.0 / (np.sqrt(2.0) * lam)
     phase = np.multiply.outer(lam, quadrature_nodes(modes.quadrature))
     p1 = np.cos(phase)
     p1 *= (rho * MODE_AMPLITUDE)[:, None]
-    if not derivative:
-        return lam, p1, None
     dp1 = np.sin(phase, out=phase)
     dp1 *= (-rho * MODE_AMPLITUDE * lam)[:, None]
+    for rows in (lam, p1, dp1):
+        rows.flags.writeable = False
     return lam, p1, dp1
 
 
@@ -183,20 +200,17 @@ def inner_product(p: FunctionPair, q: FunctionPair) -> float:
     return w @ (_derivative(p, h) * _derivative(q, h)) + w @ (p.p2 * q.p2)
 
 
-def _gram(lam, p1, dp1):
-    root_w = np.sqrt(_trapezoid_weights(p1.shape[1]))
-    p1 = p1 * root_w
-    dp1 = dp1 * root_w
-    return dp1 @ dp1.T + np.outer(lam, lam) * (p1 @ p1.T)
-
-
 def gram_matrix(modes: ModeSet) -> np.ndarray:
     """Pairwise inner products of the normalized mode pairs.
 
     With every row scaled by the square root of the trapezoid weights the
     pairing is ``dP1 dP1^T + (lam lam^T) * (P1 P1^T)``.
     """
-    return _gram(*_sample_rows(modes))
+    lam, p1, dp1 = _sample_rows(modes)
+    root_w = np.sqrt(_trapezoid_weights(modes.quadrature))
+    p1 = p1 * root_w
+    dp1 = dp1 * root_w
+    return dp1 @ dp1.T + np.outer(lam, lam) * (p1 @ p1.T)
 
 
 def semigroup_apply(f: FunctionPair, x: float, modes: ModeSet) -> FunctionPair:
@@ -218,16 +232,6 @@ def semigroup_apply(f: FunctionPair, x: float, modes: ModeSet) -> FunctionPair:
     return FunctionPair(p1=c @ p1, p2=(c * lam) @ p1, dp1=c @ dp1)
 
 
-def _obs_bound(lam, p1, dp1, x):
-    x = np.asarray(x, dtype=float)
-    if (x < 0.0).any():
-        raise ValueError("x must be nonnegative")
-    w = _trapezoid_weights(p1.shape[1])
-    diag = np.square(dp1) @ w + lam * lam * (np.square(p1) @ w)
-    total = np.square(np.exp(np.multiply.outer(x, lam)) * diag).sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
-
-
 def observability_lower_bound(modes: ModeSet, x):
     """Sum over the mode set of (exp(lam_n x) * G_nn)^2.
 
@@ -237,22 +241,14 @@ def observability_lower_bound(modes: ModeSet, x):
     and grows monotonically as modes are added.  ``x`` is a distance or an
     array of distances; a scalar gives a float, an array one bound per entry.
     """
-    return _obs_bound(*_sample_rows(modes), x)
-
-
-def _eigen_residual(lam, p1):
-    h = ANALYSIS_LENGTH / (p1.shape[1] - 1)
-    # -(p1[2:] - 2 p1[1:-1] + p1[:-2]) / h^2 - lam * (lam * p1[1:-1]), built
-    # with the rounding of the one-mode formula, so each residual is
-    # bit-identical to sampling that mode alone
-    row2 = p1[:, 1:-1] * -2.0
-    row2 += p1[:, 2:]
-    row2 += p1[:, :-2]
-    row2 /= -h * h
-    inner = p1[:, 1:-1] * lam[:, None]
-    inner *= lam[:, None]
-    row2 -= inner
-    return np.abs(row2, out=row2).max(axis=1)
+    x = np.asarray(x, dtype=float)
+    if (x < 0.0).any():
+        raise ValueError("x must be nonnegative")
+    lam, p1, dp1 = _sample_rows(modes)
+    w = _trapezoid_weights(modes.quadrature)
+    diag = np.square(dp1) @ w + lam * lam * (np.square(p1) @ w)
+    total = np.square(np.exp(np.multiply.outer(x, lam)) * diag).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def eigen_residual(modes: ModeSet) -> np.ndarray:
@@ -264,14 +260,16 @@ def eigen_residual(modes: ModeSet) -> np.ndarray:
     construction, so the residual is the second-row defect
     ``-D2 p1 - lam * p2``, which shrinks at second order in the node spacing.
     """
-    lam, p1, _ = _sample_rows(modes, derivative=False)
-    return _eigen_residual(lam, p1)
-
-
-def diagnostics(modes: ModeSet, x):
-    """``gram_matrix(modes)``, ``eigen_residual(modes)`` and
-    ``observability_lower_bound(modes, x)``, bit for bit, from one sampling
-    of the mode set."""
-    lam, p1, dp1 = _sample_rows(modes)
-    return (_gram(lam, p1, dp1), _eigen_residual(lam, p1),
-            _obs_bound(lam, p1, dp1, x))
+    lam, p1, _ = _sample_rows(modes)
+    h = ANALYSIS_LENGTH / (modes.quadrature - 1)
+    # -(p1[2:] - 2 p1[1:-1] + p1[:-2]) / h^2 - lam * (lam * p1[1:-1]), built
+    # with the rounding of the one-mode formula, so each residual is
+    # bit-identical to sampling that mode alone
+    row2 = p1[:, 1:-1] * -2.0
+    row2 += p1[:, 2:]
+    row2 += p1[:, :-2]
+    row2 /= -h * h
+    inner = p1[:, 1:-1] * lam[:, None]
+    inner *= lam[:, None]
+    row2 -= inner
+    return np.abs(row2, out=row2).max(axis=1)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,18 @@ def test_uniform_strictly_increasing(nx, ny):
         steps = np.diff(nodes)
         assert (steps > 0).all()
         assert np.allclose(steps, h, rtol=1e-12)
+
+
+def test_nodes_built_once_and_read_only():
+    g = build_grid(2 * np.pi, 0.5, 257, 5)
+    assert g.x is g.x and g.y is g.y
+    assert np.array_equal(g.x, np.linspace(0.0, g.a, g.nx))
+    assert np.array_equal(g.y, np.linspace(0.0, g.b, g.ny))
+    for nodes in (g.x, g.y):
+        with pytest.raises(ValueError):
+            nodes[0] = 1.0
+    # the cached nodes are not fields: equality and hashing ignore them
+    fresh = build_grid(2 * np.pi, 0.5, 257, 5)
+    assert g == fresh and hash(g) == hash(fresh)
+    assert {f.name for f in dataclasses.fields(g)} == {
+        "a", "b", "nx", "ny", "dx", "dy"}

@@ -3,7 +3,7 @@ import pytest
 
 from cauchy_observer.spectral import (ANALYSIS_LENGTH, MODE_AMPLITUDE,
                                       EigenMode, FunctionPair, ModeSet,
-                                      default_mode_set, diagnostics,
+                                      _sample_rows, default_mode_set,
                                       eigen_residual, gram_matrix,
                                       inner_product, observability_lower_bound,
                                       sample_mode, semigroup_apply)
@@ -199,6 +199,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             eigen_residual(ModeSet((0,), 3))[0]
 
+    def test_integral_quadrature_is_stored_as_int(self):
+        # equal sets hash alike, so they must also sample alike
+        plain = ModeSet((0, 1), 101)
+        for q in (101.0, np.float64(101.0), np.int64(101)):
+            ms = ModeSet((0, 1), q)
+            assert type(ms.quadrature) is int
+            assert ms == plain and hash(ms) == hash(plain)
+            _sample_rows.cache_clear()
+            assert np.array_equal(gram_matrix(ms), gram_matrix(plain))
+
+    @pytest.mark.parametrize("q", [100.5, 1e-9 + 101, float("nan"),
+                                   float("inf"), "101", None])
+    def test_non_integral_quadrature_rejected(self, q):
+        with pytest.raises(ValueError, match="whole number of nodes"):
+            ModeSet((0,), q)
+
 
 # Per-mode references built from sample_mode and inner_product: the
 # whole-array diagnostics must agree with them on every mode set below.
@@ -268,12 +284,28 @@ class TestAgainstPerModeReference:
 
     @reference_sets
     def test_diagnostics_match_the_separate_calls(self, ms):
-        # one sampling serves all three; none of them may alter it
+        # diagnose's three calls and a propagation on equal mode sets share
+        # one sampling, and each gives bit for bit what it gives cold
         xs = (0.0, 0.1, 0.5)
-        gram, resid, bounds = diagnostics(ms, xs)
-        assert np.array_equal(gram, gram_matrix(ms))
-        assert np.array_equal(resid, eigen_residual(ms))
-        assert np.array_equal(bounds, observability_lower_bound(ms, xs))
+        rng = np.random.default_rng(ms.quadrature)
+        pair = FunctionPair(*rng.standard_normal((3, ms.quadrature)))
+
+        def propagate(m):
+            out = semigroup_apply(pair, 0.1, m)
+            return np.stack([out.p1, out.p2, out.dp1])
+
+        calls = (gram_matrix, eigen_residual,
+                 lambda m: observability_lower_bound(m, xs), propagate)
+        cold = []
+        for call in calls:
+            _sample_rows.cache_clear()
+            cold.append(call(ms))
+        _sample_rows.cache_clear()
+        warm = [call(ModeSet(ms.indices, ms.quadrature)) for call in calls]
+        info = _sample_rows.cache_info()
+        assert (info.misses, info.hits) == (1, len(calls) - 1)
+        for got, want in zip(warm, cold):
+            assert np.array_equal(got, want)
 
     def test_scalar_bound_is_float(self):
         assert type(observability_lower_bound(ModeSet((0, 1), 101), 0.1)) is float
@@ -281,3 +313,41 @@ class TestAgainstPerModeReference:
     def test_negative_distance_in_array_rejected(self):
         with pytest.raises(ValueError):
             observability_lower_bound(ModeSet((0,), 101), [0.1, -0.1])
+
+
+class TestSamplingMemo:
+    def test_rows_are_read_only(self):
+        for rows in _sample_rows(ModeSet((0, 1), 101)):
+            with pytest.raises(ValueError):
+                rows[0] = 0.0
+
+    def test_results_do_not_alias_the_rows(self):
+        # results are the caller's to write; the shared rows stay intact
+        ms = ModeSet((0, 1, 2), 101)
+        gram = gram_matrix(ms)
+        gram_matrix(ms)[:] = 0.0
+        eigen_residual(ms)[:] = 0.0
+        semigroup_apply(sample_mode(EigenMode(1), 101), 0.1, ms).p1[:] = 0.0
+        assert np.array_equal(gram_matrix(ms), gram)
+
+    def test_a_second_set_evicts_the_first(self):
+        first, second = ModeSet((0, 1), 101), ModeSet((0, 1), 201)
+        _sample_rows.cache_clear()
+        gram_matrix(first)
+        eigen_residual(first)
+        assert _sample_rows.cache_info()[:2] == (1, 1)   # hits, misses
+        gram_matrix(second)
+        assert _sample_rows.cache_info()[:2] == (1, 2)
+        assert _sample_rows.cache_info().currsize == 1
+        gram_matrix(first)
+        assert _sample_rows.cache_info()[:2] == (1, 3)
+
+    def test_sample_mode_leaves_the_memo_alone(self):
+        # a per-mode loop between calls on a family cannot evict it
+        ms = default_mode_set(1001)
+        _sample_rows.cache_clear()
+        gram_matrix(ms)
+        for m in ms.modes():
+            sample_mode(m, ms.quadrature)
+        semigroup_apply(sample_mode(EigenMode(0), 1001), 0.1, ms)
+        assert _sample_rows.cache_info()[:2] == (1, 1)
