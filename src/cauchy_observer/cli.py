@@ -7,8 +7,8 @@ on the command line with ``--key value`` or ``--key=value`` (``--config=FILE``
 works too), and ``-h`` or ``--help`` prints the usage line.  Outputs are CSV
 files with fixed formatting (17 significant digits, comma separator, LF line
 endings) so that identical runs produce byte-identical artifacts, plus a
-gnuplot script that renders them.  Each output replaces any file of its name
-(see ``replace_file``).
+gnuplot script that plots the bottom traces.  Each output replaces any file
+of its name (see ``replace_file``).
 
 Exit codes: 0 success, 1 runtime failure (an output file that cannot be
 written included; the outputs written before it stay), 64 bad usage or
@@ -32,7 +32,7 @@ from .discrete_ops import assemble
 from .gain import (ObservabilityDeficient, PlacementFailed, PoleSpec,
                    ackermann_gain, ring_poles, uniform_poles)
 from .grid import build_grid
-from .observer import NonFiniteState, ObserverProblem, run
+from .observer import NonFiniteState, ObserverProblem, error_bottom, run
 from .reference import (ReferenceSolution, TrigTerm, bottom_trace,
                         combo_example, dirichlet_example, make_cauchy_data,
                         neumann_example)
@@ -209,12 +209,6 @@ set xlabel 'x'
 set ylabel 'u on the bottom boundary'
 plot 'boundary.csv' using 1:2 with lines lw 2, \\
      'boundary.csv' using 1:3 with lines lw 2 dashtype 2
-set output 'history.png'
-set logscale y
-set xlabel 'sweep'
-set ylabel 'residual / error'
-plot 'history.csv' using 1:2 with linespoints, \\
-     'history.csv' using 1:3 with linespoints
 """
 
 
@@ -233,6 +227,8 @@ def _output_dir(cfg: RunConfig) -> Path:
 
 def _pole_spec(cfg: RunConfig) -> PoleSpec:
     n = 2 * cfg.ny
+    if not math.isfinite(cfg.pole_min):
+        raise ConfigError(f"pole_min must be finite, got {cfg.pole_min}")
     if not (cfg.pole_min < cfg.pole_max < 1.0):
         raise ConfigError("poles must satisfy pole_min < pole_max < 1")
     try:
@@ -271,7 +267,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
     problem = ObserverProblem(grid=grid, cauchy=cauchy, mats=mats, gain=gain)
     try:
-        field, report = run(problem, reference=sol)
+        field, report = run(problem)
     except NonFiniteState as exc:
         print(f"solver overflowed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -284,7 +280,7 @@ def cmd_solve(cfg: RunConfig) -> int:
               ["x", "exact_bottom", "estimated_bottom"],
               np.column_stack((grid.x, exact, field[:, 0])).ravel().tolist())
     write_csv(out / "history.csv", ["sweep", "top_residual", "bottom_error"],
-              [1, report.top_residual, report.bottom_error])
+              [1, report.top_residual, error_bottom(field, exact, grid.dx)])
     replace_file(out / "plot.gp", _PLOT_SCRIPT)
     print(f"one sweep after a {report.warmup_steps}-step warm-up; "
           f"periodicity defect {report.periodicity_defect:.1e}; "

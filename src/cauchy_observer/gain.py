@@ -42,6 +42,8 @@ class PoleSpec:
 
     def __post_init__(self):
         p = np.asarray(self.poles, dtype=complex)
+        if not np.isfinite(p).all():
+            raise ValueError("poles must be finite")
         if np.abs(p).max() >= 1.0:
             raise ValueError("all poles must have modulus < 1")
         cplx = [z for z in p.tolist() if abs(z.imag) > 1e-14]

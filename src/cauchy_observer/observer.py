@@ -28,6 +28,9 @@ one application of the sweep map from that line, with no warm-up.  A gain
 without a settling certificate (every unstable gain among them) is
 refused.
 
+``run`` sees the top Cauchy data and nothing else.  A caller that knows the
+true bottom trace scores the recovered one with ``error_bottom``.
+
 Lockstep window.  The certificate bounds the later powers only through
 ||M^(W+j)||_2 <= ||M^j||_2 * 2**-52, not by one rounding unit: with ring
 poles M^W can be tiny while the powers after it are not (at 2049x3,
@@ -54,7 +57,7 @@ import numpy as np
 from .discrete_ops import SystemMatrices, sweep_form
 from .gain import GainVector
 from .grid import RectGrid
-from .reference import CauchyData, ReferenceSolution, bottom_trace
+from .reference import CauchyData
 
 
 class NonFiniteState(Exception):
@@ -87,7 +90,6 @@ class ObserverConfig:
 @dataclass
 class SweepReport:
     top_residual: float
-    bottom_error: Optional[float]   # None without a reference
     warmup_steps: int               # 0 for an explicit start line
     periodicity_defect: float       # max|x_N - x_0| / max|field|
 
@@ -210,8 +212,7 @@ def _march(x0: np.ndarray, M: np.ndarray, V: np.ndarray, lead: int,
     return traj[lead:]
 
 
-def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None,
-        reference: Optional[ReferenceSolution] = None):
+def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None):
     """One sweep across the rectangle.
 
     Returns (field, report) where field has shape (nx, 2*ny): row n holds
@@ -248,7 +249,5 @@ def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None,
     defect = np.abs(cur[-1] - cur[0]).max()
     return cur, SweepReport(
         top_residual=top_residual(cur, f, grid.dx),
-        bottom_error=(None if reference is None else error_bottom(
-            cur, bottom_trace(reference, grid), grid.dx)),
         warmup_steps=lead,
         periodicity_defect=float(defect / scale) if scale else 0.0)

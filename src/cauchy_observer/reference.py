@@ -9,10 +9,11 @@ on the top boundary, and its trace on the bottom boundary is exactly
 coeff * trig(4*pi*k*x/a).  Cosine terms satisfy zero-Neumann side conditions,
 sine terms zero-Dirichlet ones.
 
-The pointwise evaluators (``evaluate``, ``d_dx``, ``d_dy``) sum the terms one
-by one at any points.  ``sample_state_field`` samples the whole (u, du/dx)
-grid field as one trig table per distinct frequency times one profile
-matrix, so its cost grows with the distinct frequencies, not with the terms.
+The pointwise evaluators (``evaluate``, ``d_dx``, ``d_dy``) share one loop
+that sums the terms one by one at any points.  ``sample_state_field``
+samples the whole (u, du/dx) grid field as one trig table per distinct
+frequency times one profile matrix, so its cost grows with the distinct
+frequencies, not with the terms.
 """
 
 from dataclasses import dataclass
@@ -79,47 +80,44 @@ def combo_example(terms: Sequence[TrigTerm], a: float, b: float) -> ReferenceSol
     return ReferenceSolution(tuple(terms), a, b)
 
 
-def _freq(term: TrigTerm, a: float) -> float:
-    return 4.0 * np.pi * term.k / a
+def _freq(k, a: float):
+    """The frequency 4*pi*k/a of mode index k (a scalar or an array)."""
+    return 4.0 * np.pi * k / a
 
 
-def evaluate(sol: ReferenceSolution, x, y):
-    """Field value at (x, y); accepts scalars or broadcastable arrays."""
+def _sum_terms(sol: ReferenceSolution, x, y, wrt=None):
+    """Sum of the terms at (x, y), or of their derivatives with respect to
+    ``wrt`` ("x" or "y"): the derivative falls on the trig factor or on the
+    cosh profile of each term."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.zeros(np.broadcast(x, y).shape)
     for t in sol.terms:
-        w = _freq(t, sol.a)
-        prof = np.cosh(w * (y - sol.b)) / np.cosh(w * sol.b)
-        trig = np.cos(w * x) if t.parity == "cos" else np.sin(w * x)
+        w = _freq(t.k, sol.a)
+        s, v = w * (y - sol.b), w * x
+        prof = w * np.sinh(s) if wrt == "y" else np.cosh(s)
+        prof = prof / np.cosh(w * sol.b)
+        if wrt == "x":
+            trig = -w * np.sin(v) if t.parity == "cos" else w * np.cos(v)
+        else:
+            trig = np.cos(v) if t.parity == "cos" else np.sin(v)
         out = out + t.coeff * prof * trig
     return out if out.shape else float(out)
 
 
+def evaluate(sol: ReferenceSolution, x, y):
+    """Field value at (x, y); accepts scalars or broadcastable arrays."""
+    return _sum_terms(sol, x, y)
+
+
 def d_dx(sol: ReferenceSolution, x, y):
     """Exact x derivative, used to seed marching states."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.zeros(np.broadcast(x, y).shape)
-    for t in sol.terms:
-        w = _freq(t, sol.a)
-        prof = np.cosh(w * (y - sol.b)) / np.cosh(w * sol.b)
-        dtrig = -w * np.sin(w * x) if t.parity == "cos" else w * np.cos(w * x)
-        out = out + t.coeff * prof * dtrig
-    return out if out.shape else float(out)
+    return _sum_terms(sol, x, y, "x")
 
 
 def d_dy(sol: ReferenceSolution, x, y):
     """Exact y derivative; identically zero on the top boundary."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.zeros(np.broadcast(x, y).shape)
-    for t in sol.terms:
-        w = _freq(t, sol.a)
-        dprof = w * np.sinh(w * (y - sol.b)) / np.cosh(w * sol.b)
-        trig = np.cos(w * x) if t.parity == "cos" else np.sin(w * x)
-        out = out + t.coeff * dprof * trig
-    return out if out.shape else float(out)
+    return _sum_terms(sol, x, y, "y")
 
 
 def make_cauchy_data(sol: ReferenceSolution, grid: RectGrid) -> CauchyData:
@@ -154,7 +152,7 @@ def sample_state_field(sol: ReferenceSolution, grid: RectGrid) -> np.ndarray:
     accuracy studies.
     """
     ks = sorted({t.k for t in sol.terms})
-    w = 4.0 * np.pi * np.array(ks, dtype=float) / sol.a
+    w = _freq(np.array(ks, dtype=float), sol.a)
     # weights[trig, f, block]: trig 0 is cos(w_f x), 1 is sin(w_f x);
     # block 0 is u, 1 is u_x
     weights = np.zeros((2, len(ks), 2))

@@ -16,7 +16,9 @@ are orthonormal in the energy pairing used throughout this module,
 On uniform quadrature nodes the composite trapezoid rule integrates every
 product of two family members exactly (all frequencies complete a whole
 number of half periods), so the discrete Gram matrix is the identity to
-round-off when the first-component derivatives are supplied analytically.
+round-off.  Every pair carries samples of its first component's derivative
+(analytic ones for the mode family and for the propagator's output), and the
+energy pairing reads them: nothing is differenced.
 
 The public diagnostics compute on the mode set sampled as whole
 (modes x nodes) arrays of the first components and their analytic
@@ -38,7 +40,6 @@ diagnostics.
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -66,29 +67,38 @@ class EigenMode:
         object.__setattr__(self, "rho", 1.0 / (np.sqrt(2.0) * lam))
 
 
+def _whole(value, rule: str) -> int:
+    """``value`` as an int; ValueError stating ``rule`` unless it is a whole
+    number."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{rule}, got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class ModeSet:
     """Finite, duplicate-free truncation of the mode family plus a node count.
 
-    The node count is stored as an ``int``; an integral float such as 101.0
-    becomes 101, so equal sets sample alike."""
+    The indices and the node count are stored as ``int``s; an integral float
+    such as 101.0 becomes 101, so equal sets sample alike.  A value that is
+    not a whole number is refused."""
 
     indices: tuple
     quadrature: int = DEFAULT_QUADRATURE
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(_whole(i, "mode indices must be whole numbers")
+                    for i in self.indices)
         if len(set(idx)) != len(idx):
             raise ValueError("mode indices must be duplicate-free")
         if len(idx) == 0:
             raise ValueError("mode set must be nonempty")
-        try:
-            q = int(self.quadrature)
-        except (TypeError, ValueError, OverflowError):
-            q = None
-        if q is None or q != self.quadrature:
-            raise ValueError("quadrature must be a whole number of nodes, "
-                             f"got {self.quadrature!r}")
+        q = _whole(self.quadrature,
+                   "quadrature must be a whole number of nodes")
         if q < 5:
             raise ValueError("quadrature needs at least 5 nodes")
         object.__setattr__(self, "indices", idx)
@@ -106,28 +116,26 @@ def default_mode_set(quadrature: int = DEFAULT_QUADRATURE) -> ModeSet:
 class FunctionPair:
     """Two functions sampled on the uniform quadrature nodes of [0, pi/4].
 
-    ``dp1`` optionally carries analytic samples of the first component's
-    derivative.  When present it is used by the inner product instead of
-    finite differences; propagator output always carries it so that repeated
-    applications do not accumulate differencing error.
+    ``dp1`` holds samples of the first component's derivative, which the
+    inner product and the propagator read.  Propagator output carries
+    analytic ones, so repeated applications stay exact to round-off.
     """
 
     p1: np.ndarray
     p2: np.ndarray
-    dp1: Optional[np.ndarray] = None
+    dp1: np.ndarray
 
     def __post_init__(self):
         p1 = np.asarray(self.p1, dtype=float)
         p2 = np.asarray(self.p2, dtype=float)
+        dp1 = np.asarray(self.dp1, dtype=float)
         if p1.shape != p2.shape or p1.ndim != 1:
             raise ValueError("components must be 1-d arrays on identical nodes")
-        if self.dp1 is not None:
-            dp1 = np.asarray(self.dp1, dtype=float)
-            if dp1.shape != p1.shape:
-                raise ValueError("derivative samples must match the node set")
-            object.__setattr__(self, "dp1", dp1)
+        if dp1.shape != p1.shape:
+            raise ValueError("derivative samples must match the node set")
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", p2)
+        object.__setattr__(self, "dp1", dp1)
 
     @property
     def nodes(self) -> int:
@@ -176,28 +184,13 @@ def _trapezoid_weights(nodes: int) -> np.ndarray:
     return w
 
 
-def _derivative(p: FunctionPair, h: float) -> np.ndarray:
-    if p.dp1 is not None:
-        return p.dp1
-    d = np.empty_like(p.p1)
-    d[1:-1] = (p.p1[2:] - p.p1[:-2]) / (2.0 * h)
-    d[0] = (p.p1[1] - p.p1[0]) / h
-    d[-1] = (p.p1[-1] - p.p1[-2]) / h
-    return d
-
-
 def inner_product(p: FunctionPair, q: FunctionPair) -> float:
-    """Energy pairing: derivative term of the first components plus the
-    plain product of the second components, both by composite trapezoid.
-
-    Sampled derivatives are centered differences (one-sided at the interval
-    ends) unless analytic samples are attached to the pair.
-    """
+    """Energy pairing: product of the first components' derivatives plus
+    the product of the second components, both by composite trapezoid."""
     if p.nodes != q.nodes:
         raise ValueError(f"mismatched sampling: {p.nodes} vs {q.nodes} nodes")
-    h = ANALYSIS_LENGTH / (p.nodes - 1)
     w = _trapezoid_weights(p.nodes)
-    return w @ (_derivative(p, h) * _derivative(q, h)) + w @ (p.p2 * q.p2)
+    return w @ (p.dp1 * q.dp1) + w @ (p.p2 * q.p2)
 
 
 def gram_matrix(modes: ModeSet) -> np.ndarray:
@@ -217,9 +210,9 @@ def semigroup_apply(f: FunctionPair, x: float, modes: ModeSet) -> FunctionPair:
     """Truncated propagator: sum of exp(lam_n x) times the mode projections.
 
     At x = 0 this is the orthogonal projection onto the span of the mode
-    set.  The projections use ``f.dp1`` when present and centered
-    differences otherwise, as ``inner_product`` does.  The output carries
-    analytic derivative samples so compositions stay exact up to round-off.
+    set.  The projections read ``f.dp1``, as ``inner_product`` does.  The
+    output carries analytic derivative samples so compositions stay exact
+    up to round-off.
     """
     if x < 0.0:
         raise ValueError("propagation distance must be nonnegative")
@@ -227,8 +220,7 @@ def semigroup_apply(f: FunctionPair, x: float, modes: ModeSet) -> FunctionPair:
         raise ValueError("pair and mode set use different quadrature nodes")
     lam, p1, dp1 = _sample_rows(modes)
     w = _trapezoid_weights(f.nodes)
-    df = _derivative(f, ANALYSIS_LENGTH / (f.nodes - 1))
-    c = np.exp(lam * x) * (dp1 @ (w * df) + lam * (p1 @ (w * f.p2)))
+    c = np.exp(lam * x) * (dp1 @ (w * f.dp1) + lam * (p1 @ (w * f.p2)))
     return FunctionPair(p1=c @ p1, p2=(c * lam) @ p1, dp1=c @ dp1)
 
 

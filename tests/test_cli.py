@@ -7,6 +7,7 @@ import pytest
 
 from cauchy_observer.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, USAGE,
                                  RunConfig, main, parse_config, write_csv)
+from cauchy_observer.observer import error_bottom
 
 BASE_CONFIG = """\
 # boundary recovery, single cosine data
@@ -127,7 +128,34 @@ class TestSolve:
         assert gain[0] == "method,pole_min,pole_max,spectral_radius,obs_matrix_condition"
         assert gain[1].startswith("ackermann,")
         plot = (out / "plot.gp").read_text()
-        assert "boundary.csv" in plot and "history.csv" in plot
+        assert "boundary.csv" in plot and "history.csv" not in plot
+
+    @pytest.mark.parametrize("override", [
+        [],
+        ["--example", "dirichlet", "--nx", "513", "--ny", "3"],
+        ["--example", "combo", "--terms", "1.0*cos1+0.5*sin1", "--nx", "385"],
+        ["--example", "combo", "--terms", "0.7*sin2", "--ny", "6"],
+    ], ids=["neumann", "dirichlet", "combo", "combo_ny6"])
+    def test_bottom_error_scores_the_boundary_table(self, tmp_path, override):
+        # history.csv's bottom_error is error_bottom of boundary.csv's two
+        # traces, bit for bit (17 significant digits round-trip a float)
+        out = tmp_path / "run15"
+        path = write_config(tmp_path, BASE_CONFIG.format(out=out))
+        assert main(["solve", "--config", path] + override) == EXIT_OK
+        cfg = parse_config(path, override)
+        rows = np.loadtxt(out / "boundary.csv", delimiter=",", skiprows=1)
+        hist = (out / "history.csv").read_text().splitlines()[1].split(",")
+        want = error_bottom(rows[:, 2:], rows[:, 1], cfg.a / (cfg.nx - 1))
+        assert float(hist[2]) == want
+
+    def test_zero_data_score_the_absolute_error(self, tmp_path):
+        out = tmp_path / "run16"
+        cfg = write_config(tmp_path, BASE_CONFIG.format(out=out)
+                           + "example = combo\nterms = 0*cos1\n")
+        with pytest.warns(UserWarning, match="zero norm"):
+            assert main(["solve", "--config", cfg]) == EXIT_OK
+        hist = (out / "history.csv").read_text().splitlines()
+        assert hist[1] == "1,0,0"
 
     def test_stdout_notes_the_warmup(self, tmp_path, capsys):
         out = tmp_path / "run8"
@@ -173,6 +201,17 @@ class TestSolve:
         out = tmp_path / "run4"
         cfg = write_config(tmp_path, BASE_CONFIG.format(out=out))
         assert main(["solve", "--config", cfg, "--nx", "many"]) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("layout", ["uniform", "ring"])
+    def test_infinite_pole_min_is_usage_error(self, tmp_path, capsys, layout):
+        # refused before any pole is built: no numpy warning, no directory
+        out = tmp_path / "run14"
+        cfg = write_config(tmp_path, BASE_CONFIG.format(out=out))
+        assert main(["solve", "--config", cfg, "--pole_layout", layout,
+                     "--pole_min", "-inf"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "configuration error: pole_min must be finite, got -inf\n")
         assert not out.exists()
 
     def test_bad_pole_range(self, tmp_path):

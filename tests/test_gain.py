@@ -102,6 +102,11 @@ class TestPoleSpec:
         with pytest.raises(ValueError):
             PoleSpec(np.array([0.5, 1.0 + 0j]))
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0.1, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PoleSpec(np.array([bad, 0.5]))
+
     def test_rejects_unpaired_complex(self):
         with pytest.raises(ValueError):
             PoleSpec(np.array([0.1 + 0.2j, 0.5 + 0j]))

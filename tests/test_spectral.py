@@ -67,13 +67,6 @@ class TestInnerProduct:
             inner_product(sample_mode(EigenMode(0), 101),
                           sample_mode(EigenMode(0), 201))
 
-    def test_finite_difference_fallback(self):
-        # without analytic derivative samples the pairing is still second
-        # order accurate, just not exact
-        m = sample_mode(EigenMode(0), 4001)
-        bare = FunctionPair(m.p1, m.p2)
-        assert inner_product(bare, bare) == pytest.approx(1.0, abs=1e-5)
-
     def test_gram_identity(self):
         G = gram_matrix(ModeSet(tuple(range(-8, 9)), 2001))
         assert np.abs(G - np.eye(len(G))).max() <= 1e-6
@@ -90,7 +83,7 @@ class TestSemigroup:
     def test_projection_idempotent(self):
         ms = ModeSet((-1, 0, 1, 2), 1001)
         rng = np.random.default_rng(3)
-        f = FunctionPair(rng.standard_normal(1001), rng.standard_normal(1001))
+        f = FunctionPair(*rng.standard_normal((3, 1001)))
         once = semigroup_apply(f, 0.0, ms)
         twice = semigroup_apply(once, 0.0, ms)
         assert np.abs(twice.p1 - once.p1).max() < 1e-10
@@ -215,6 +208,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="whole number of nodes"):
             ModeSet((0,), q)
 
+    def test_integral_indices_are_stored_as_ints(self):
+        plain = ModeSet((0, 1), 101)
+        for idx in ((0.0, 1.0), (np.float64(0.0), np.int64(1))):
+            ms = ModeSet(idx, 101)
+            assert all(type(i) is int for i in ms.indices)
+            assert ms == plain and hash(ms) == hash(plain)
+
+    @pytest.mark.parametrize("idx", [(0.5, 1.9), (0, 1.9), (float("nan"),),
+                                     (float("inf"),), ("1",), (None,)])
+    def test_non_integral_indices_rejected(self, idx):
+        with pytest.raises(ValueError, match="whole numbers"):
+            ModeSet(idx, 101)
+
+    def test_pair_requires_derivative_samples(self):
+        with pytest.raises(TypeError):
+            FunctionPair(np.zeros(101), np.zeros(101))
+        with pytest.raises(ValueError, match="derivative samples"):
+            FunctionPair(np.zeros(101), np.zeros(101), np.zeros(100))
+
 
 # Per-mode references built from sample_mode and inner_product: the
 # whole-array diagnostics must agree with them on every mode set below.
@@ -255,11 +267,9 @@ class TestAgainstPerModeReference:
         assert np.abs(gram_matrix(ms) - per_mode_gram(ms)).max() <= 1e-14
 
     @reference_sets
-    @pytest.mark.parametrize("analytic_derivative", [True, False])
-    def test_semigroup_apply(self, ms, analytic_derivative):
+    def test_semigroup_apply(self, ms):
         rng = np.random.default_rng(ms.quadrature + len(ms.indices))
-        p1, p2, d1 = rng.standard_normal((3, ms.quadrature))
-        f = FunctionPair(p1, p2, d1 if analytic_derivative else None)
+        f = FunctionPair(*rng.standard_normal((3, ms.quadrature)))
         for x in (0.0, 0.13):
             out = semigroup_apply(f, x, ms)
             for got, want in zip((out.p1, out.p2, out.dp1),
