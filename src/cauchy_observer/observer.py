@@ -204,9 +204,8 @@ def _march(x0: np.ndarray, M: np.ndarray, V: np.ndarray, lead: int,
         traj[steps + 1 - later * per:].reshape(later, per, n)[...] = (
             S[span - per:, :, 1:].transpose(2, 0, 1))
         traj[1:span + 1] = S[:, :, 0]
-    bad = ~np.isfinite(traj[1:]).all(axis=1)
-    if bad.any():
-        t = int(bad.argmax()) + 1
+    if not np.isfinite(traj[1:]).all():
+        t = int(np.isfinite(traj[1:]).all(axis=1).argmin()) + 1
         where = f"warm-up step {t}" if t <= lead else f"sweep step {t - lead}"
         raise NonFiniteState(f"state is not finite at {where}")
     return traj[lead:]

@@ -25,6 +25,18 @@ The public diagnostics compute on the mode set sampled as whole
 derivatives: the Gram matrix is two matrix products, the propagator two
 matrix-vector products for the coefficients and three for the output.
 
+The family is sampled from two base exponentials: e^{i lam_n s} =
+e^{6is} (e^{-8is})^n, walked outward from n = 0 one unit-modulus factor at
+a time, so a sampling costs cos and sin of 6s and 8s (four node arrays) and
+one complex product per mode walked, whatever the number of modes.  Mode n
+is always reached by the same products, so its samples depend only on n and
+the node count: ``sample_mode`` and the whole-set rows agree bit for bit,
+and mode 0 is exactly cos(6s) and sin(6s).  Against long-double cos and sin
+of lam_n s on the same nodes the worst row error is 5.0 eps times the row's
+maximum on the modes -6..10 at 1001 to 4001 nodes (6.0 eps for |n| <= 12);
+cos and sin of the rounded argument lam_n s reached 16 eps (32 eps), as
+that rounding grows with |lam_n|.
+
 The sampling is memoized for one mode set at a time.  Every call on an equal
 mode set after the first reuses the same arrays, which are read-only; a call
 on a different set replaces them, so at most one family is held.
@@ -146,12 +158,44 @@ def quadrature_nodes(quadrature: int) -> np.ndarray:
     return np.linspace(0.0, ANALYSIS_LENGTH, quadrature)
 
 
+def _walk(indices, s: np.ndarray):
+    """Yield ``(n, e^{i lam_n s})`` for every n of ``indices``, n = 0 first,
+    then the positive n upward, then the negative n downward.
+
+    e^{i lam_n s} = e^{6is} (e^{-8is})^n, so four trig arrays (cos and sin of
+    6s and 8s) serve any number of modes: the walk starts from e^{6is} at
+    n = 0 and steps outward one unit-modulus factor e^{-+8is} at a time,
+    past the n it does not keep.  Every n is reached by the same products
+    whatever else is walked, so its samples depend only on n and the nodes.
+    The yielded array is the walk's own: read it before asking for the next.
+    """
+    wanted = set(indices)
+    w = np.empty(len(s), dtype=complex)
+    w.real = np.cos(6.0 * s)
+    w.imag = np.sin(6.0 * s)
+    if 0 in wanted:
+        yield 0, w
+    back = np.empty_like(w)         # e^{8is}: the step from n to n - 1
+    back.real = np.cos(8.0 * s)
+    back.imag = np.sin(8.0 * s)
+    for step, sign in ((np.conj(back), 1), (back, -1)):
+        walked = w.copy()
+        for k in range(1, max(sign * n for n in wanted) + 1):
+            walked *= step
+            if sign * k in wanted:
+                yield sign * k, walked
+
+
 def sample_mode(mode: EigenMode, quadrature: int) -> FunctionPair:
-    """Sample a mode on the quadrature nodes, with analytic derivative."""
-    s = quadrature_nodes(quadrature)
-    p1 = mode.rho * MODE_AMPLITUDE * np.cos(mode.lam * s)
+    """Sample a mode on the quadrature nodes, with analytic derivative.
+
+    The samples walk ``_walk``'s path to ``mode.n`` (|n| complex products
+    after four trig arrays), so they are bit-identical to the mode's rows in
+    ``_sample_rows``; the memo is left alone."""
+    (_, w), = _walk((mode.n,), quadrature_nodes(quadrature))
+    p1 = mode.rho * MODE_AMPLITUDE * w.real
     p2 = mode.lam * p1
-    dp1 = -mode.rho * MODE_AMPLITUDE * mode.lam * np.sin(mode.lam * s)
+    dp1 = -mode.rho * MODE_AMPLITUDE * mode.lam * w.imag
     return FunctionPair(p1=p1, p2=p2, dp1=dp1)
 
 
@@ -160,18 +204,26 @@ def _sample_rows(modes: ModeSet):
     """Sample the whole mode set on its quadrature nodes, memoized for the
     last mode set asked for.
 
-    Returns ``lam`` (one rate per mode), the ``p1`` rows (modes x nodes,
-    bit-identical to ``sample_mode``) and the analytic ``dp1`` rows, all
-    read-only because every later call on an equal set gets the same arrays.
-    The second components are ``lam * p1`` and are never stored.
+    Returns ``lam`` (one rate per mode), the ``p1`` rows (modes x nodes) and
+    the analytic ``dp1`` rows, all read-only because every later call on an
+    equal set gets the same arrays.  Each row is the real or imaginary part
+    of ``_walk``'s e^{i lam_n s}, scaled straight into its output row, so
+    it is bit-identical to ``sample_mode`` and no (modes x nodes) complex
+    array is made.  A row is within 5.0 eps of its maximum of the exact
+    samples on the modes -6..10 (module docstring).  The second components
+    are ``lam * p1`` and are never stored.
     """
     lam = mode_frequency(np.array(modes.indices, dtype=float))
     rho = 1.0 / (np.sqrt(2.0) * lam)
-    phase = np.multiply.outer(lam, quadrature_nodes(modes.quadrature))
-    p1 = np.cos(phase)
-    p1 *= (rho * MODE_AMPLITUDE)[:, None]
-    dp1 = np.sin(phase, out=phase)
-    dp1 *= (-rho * MODE_AMPLITUDE * lam)[:, None]
+    scale = rho * MODE_AMPLITUDE
+    dscale = -rho * MODE_AMPLITUDE * lam
+    row = {n: i for i, n in enumerate(modes.indices)}
+    p1 = np.empty((len(lam), modes.quadrature))
+    dp1 = np.empty_like(p1)
+    for n, w in _walk(modes.indices, quadrature_nodes(modes.quadrature)):
+        i = row[n]
+        np.multiply(w.real, scale[i], out=p1[i])
+        np.multiply(w.imag, dscale[i], out=dp1[i])
     for rows in (lam, p1, dp1):
         rows.flags.writeable = False
     return lam, p1, dp1

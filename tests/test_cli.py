@@ -1,6 +1,7 @@
 import dataclasses
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -148,14 +149,19 @@ class TestSolve:
         want = error_bottom(rows[:, 2:], rows[:, 1], cfg.a / (cfg.nx - 1))
         assert float(hist[2]) == want
 
-    def test_zero_data_score_the_absolute_error(self, tmp_path):
+    def test_zero_data_score_the_absolute_error(self, tmp_path, capsys):
         out = tmp_path / "run16"
         cfg = write_config(tmp_path, BASE_CONFIG.format(out=out)
                            + "example = combo\nterms = 0*cos1\n")
-        with pytest.warns(UserWarning, match="zero norm"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["solve", "--config", cfg]) == EXIT_OK
+        # one line of the CLI's own: no warning, path or source line
+        assert capsys.readouterr().err == (
+            "bottom_error in history.csv is the absolute error: the exact "
+            "bottom trace is zero\n")
         hist = (out / "history.csv").read_text().splitlines()
-        assert hist[1] == "1,0,0"
+        assert hist == ["sweep,top_residual,bottom_error", "1,0,0"]
 
     def test_stdout_notes_the_warmup(self, tmp_path, capsys):
         out = tmp_path / "run8"

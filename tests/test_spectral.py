@@ -361,3 +361,67 @@ class TestSamplingMemo:
             sample_mode(m, ms.quadrature)
         semigroup_apply(sample_mode(EigenMode(0), 1001), 0.1, ms)
         assert _sample_rows.cache_info()[:2] == (1, 1)
+
+
+class TestModeWalk:
+    """The rows are e^{6is} (e^{-8is})^n, walked outward from n = 0."""
+
+    # worst row error of the walk on these sets, in units of eps times the
+    # row's maximum: 5.01 (modes -2..10, q = 4001); cos and sin of lam * s
+    # sampled directly reached 16.0 there, since the rounding of the
+    # argument lam * s grows with |lam|
+    ROW_ERROR_EPS = 5.5
+
+    @pytest.mark.parametrize("q", [1001, 2001, 4001])
+    @pytest.mark.parametrize("lo,hi", [(-4, 8), (-6, 6), (-2, 10), (-5, 9)])
+    def test_rows_against_long_double(self, lo, hi, q):
+        ms = ModeSet(tuple(range(lo, hi + 1)), q)
+        _sample_rows.cache_clear()
+        lam, p1, dp1 = _sample_rows(ms)
+        # lam * s is exact in long double: |lam| <= 90 needs 7 more bits
+        s = np.linspace(0.0, ANALYSIS_LENGTH, q).astype(np.longdouble)
+        phase = np.multiply.outer(lam.astype(np.longdouble), s)
+        rho = 1.0 / (np.sqrt(2.0) * lam)
+        scale = (rho * MODE_AMPLITUDE).astype(np.longdouble)[:, None]
+        dscale = (-rho * MODE_AMPLITUDE * lam).astype(np.longdouble)[:, None]
+        eps = np.finfo(float).eps
+        for rows, exact in ((p1, scale * np.cos(phase)),
+                            (dp1, dscale * np.sin(phase))):
+            err = (np.abs(rows - exact).max(axis=1)
+                   / np.abs(exact).max(axis=1))
+            assert float(err.max()) <= self.ROW_ERROR_EPS * eps
+
+    @pytest.mark.parametrize("indices", [(5, 6, 7, 8, 9), (-7, -6, -5, -4, -3),
+                                         (3,), (-7, 12)])
+    @pytest.mark.parametrize("q", [101, 2001])
+    def test_rows_bit_identical_to_sample_mode(self, indices, q):
+        # sets without mode 0, or on one side of it, walk past modes they
+        # do not keep and must still give each mode's own samples
+        _sample_rows.cache_clear()
+        _, p1, dp1 = _sample_rows(ModeSet(indices, q))
+        for i, n in enumerate(indices):
+            pair = sample_mode(EigenMode(n), q)
+            assert np.array_equal(p1[i], pair.p1)
+            assert np.array_equal(dp1[i], pair.dp1)
+
+    def test_trig_work_does_not_grow_with_the_set(self, monkeypatch):
+        q = 1001
+        calls = []
+
+        def counted(trig):
+            def wrapper(x, *args, **kwargs):
+                calls.append((trig.__name__, np.shape(x)))
+                return trig(x, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "cos", counted(np.cos))
+        monkeypatch.setattr(np, "sin", counted(np.sin))
+        counts = []
+        for indices in ((3,), tuple(range(-6, 9))):
+            calls.clear()
+            _sample_rows.cache_clear()
+            _sample_rows(ModeSet(indices, q))
+            counts.append(sorted(calls))
+        # cos and sin of 6s and of 8s, one node array each
+        once = [("cos", (q,))] * 2 + [("sin", (q,))] * 2
+        assert counts[0] == counts[1] == once
