@@ -10,18 +10,19 @@ endings) so that identical runs produce byte-identical artifacts, plus a
 gnuplot script that plots the bottom traces.  Each output replaces any file
 of its name (see ``replace_file``).
 
-Exit codes: 0 success, 1 runtime failure (an output file that cannot be
-written included; the outputs written before it stay), 64 bad usage or
-configuration, an output directory that cannot be created included.  Usage
-and configuration errors are found before the output directory is created.
-``main`` returns every exit code; it never raises SystemExit.
+Exit codes are decided in ``main``, which maps each failure the commands
+raise to its code and stderr line (``FAILURES``): 0 success, 1 runtime
+failure (an output file that cannot be written included; the outputs
+written before it stay), 64 bad usage or configuration, an output directory
+that cannot be created included.  Usage and configuration errors are found
+before the output directory is created.  ``main`` returns every exit code;
+it never raises SystemExit.
 """
 
 import contextlib
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -34,7 +35,7 @@ from .gain import (ObservabilityDeficient, PlacementFailed, PoleSpec,
                    ackermann_gain, ring_poles, uniform_poles)
 from .grid import build_grid
 from .observer import (NonFiniteState, ObserverProblem, discrete_l2,
-                       error_bottom, run)
+                       error_bottom, run, top_residual)
 from .reference import (ReferenceSolution, TrigTerm, bottom_trace,
                         combo_example, dirichlet_example, make_cauchy_data,
                         neumann_example)
@@ -50,7 +51,7 @@ USAGE = ("usage: cauchy-observer {solve,diagnose} [--config FILE] "
 @dataclass
 class RunConfig:
     example: str = "neumann"            # neumann | dirichlet | combo
-    terms: str = "1.0*cos1"             # combo only: "1.0*cos1+0.5*sin1"
+    terms: str = "1.0*cos1"             # read by combo: "1.0*cos1+0.5*sin1"
     a: float = 2.0 * math.pi
     b: float = 0.5
     nx: int = 257
@@ -58,9 +59,9 @@ class RunConfig:
     pole_layout: str = "ring"           # ring | uniform
     pole_min: float = 0.3
     pole_max: float = 0.8
-    modes_min: int = -4
-    modes_max: int = 8
-    quadrature: int = 2001
+    modes_min: int = spectral.DEFAULT_MODE_INDICES[0]
+    modes_max: int = spectral.DEFAULT_MODE_INDICES[-1]
+    quadrature: int = spectral.DEFAULT_QUADRATURE
     output_dir: str = "."
 
 
@@ -72,9 +73,16 @@ class OutputError(Exception):
     """An output file could not be written; the message names it."""
 
 
+class Failed(Exception):
+    """A run or a check failed; the message says what broke and why."""
+
+
 def parse_config(path: Optional[str], overrides: List[str]) -> RunConfig:
-    """Read ``key = value`` lines, then apply --key value override pairs.
-    Each value is converted by its ``RunConfig`` field's type."""
+    """Read ``key = value`` lines, then apply --key value override pairs; a
+    last ``--config FILE`` pair among them replaces ``path``.  Each value
+    is converted by its ``RunConfig`` field's type."""
+    pairs = _flag_pairs(overrides)
+    path = dict(pairs).get("--config", path)
     cfg = RunConfig()
     types = {f.name: f.type for f in fields(RunConfig)}
 
@@ -100,8 +108,9 @@ def parse_config(path: Optional[str], overrides: List[str]) -> RunConfig:
             key, value = stripped.split("=", 1)
             apply(key, value)
 
-    for flag, value in _flag_pairs(overrides):
-        apply(flag[2:], value)
+    for flag, value in pairs:
+        if flag != "--config":
+            apply(flag[2:], value)
     return cfg
 
 
@@ -141,12 +150,13 @@ def _parse_terms(text: str) -> List[TrigTerm]:
 
 
 def _reference_for(cfg: RunConfig) -> ReferenceSolution:
+    terms = _parse_terms(cfg.terms)     # checked for every example
     if cfg.example == "neumann":
         return neumann_example(cfg.a, cfg.b)
     if cfg.example == "dirichlet":
         return dirichlet_example(cfg.a, cfg.b)
     if cfg.example == "combo":
-        return combo_example(_parse_terms(cfg.terms), cfg.a, cfg.b)
+        return combo_example(terms, cfg.a, cfg.b)
     raise ConfigError(f"unknown example {cfg.example!r}")
 
 
@@ -233,32 +243,24 @@ def _pole_spec(cfg: RunConfig) -> PoleSpec:
         raise ConfigError(f"pole_min must be finite, got {cfg.pole_min}")
     if not (cfg.pole_min < cfg.pole_max < 1.0):
         raise ConfigError("poles must satisfy pole_min < pole_max < 1")
-    try:
-        if cfg.pole_layout == "uniform":
-            return uniform_poles(n, cfg.pole_min, cfg.pole_max)
-        if cfg.pole_layout == "ring":
-            return ring_poles(n, 0.5 * (cfg.pole_min + cfg.pole_max))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if cfg.pole_layout == "uniform":
+        return uniform_poles(n, cfg.pole_min, cfg.pole_max)
+    if cfg.pole_layout == "ring":
+        return ring_poles(n, 0.5 * (cfg.pole_min + cfg.pole_max))
     raise ConfigError(f"unknown pole layout {cfg.pole_layout!r}")
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    sol = _reference_for(cfg)
-    spec = _pole_spec(cfg)
     try:
+        sol = _reference_for(cfg)
+        spec = _pole_spec(cfg)
         grid = build_grid(cfg.a, cfg.b, cfg.nx, cfg.ny)
         cauchy = make_cauchy_data(sol, grid)
     except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(str(exc)) from exc
     out = _output_dir(cfg)
     mats = assemble(grid)
-    try:
-        gain = ackermann_gain(mats.F, mats.C_row, spec)
-    except (ObservabilityDeficient, PlacementFailed) as exc:
-        print(f"gain design failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    gain = ackermann_gain(mats.F, mats.C_row, spec)
 
     reals = spec.poles.real
     write_csv(out / "gain.csv",
@@ -270,26 +272,19 @@ def cmd_solve(cfg: RunConfig) -> int:
     problem = ObserverProblem(grid=grid, cauchy=cauchy, mats=mats, gain=gain)
     try:
         field, report = run(problem)
-    except NonFiniteState as exc:
-        print(f"solver overflowed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except ValueError as exc:
-        print(f"solver rejected the configuration: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise Failed(f"solver rejected the configuration: {exc}") from exc
 
     exact = bottom_trace(sol, grid)
     write_csv(out / "boundary.csv",
               ["x", "exact_bottom", "estimated_bottom"],
               np.column_stack((grid.x, exact, field[:, 0])).ravel().tolist())
-    # error_bottom's own warning would print a source path and line
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "reference trace has zero norm")
-        bottom_error = error_bottom(field, exact, grid.dx)
     if discrete_l2(exact, grid.dx) == 0.0:
         print("bottom_error in history.csv is the absolute error: the exact "
               "bottom trace is zero", file=sys.stderr)
     write_csv(out / "history.csv", ["sweep", "top_residual", "bottom_error"],
-              [1, report.top_residual, bottom_error])
+              [1, top_residual(field, cauchy.f, grid.dx),
+               error_bottom(field, exact, grid.dx)])
     replace_file(out / "plot.gp", _PLOT_SCRIPT)
     print(f"one sweep after a {report.warmup_steps}-step warm-up; "
           f"periodicity defect {report.periodicity_defect:.1e}; "
@@ -298,12 +293,12 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_diagnose(cfg: RunConfig) -> int:
+    """Write both diagnostic tables; Failed names the first broken check."""
     try:
         modes = spectral.ModeSet(tuple(range(cfg.modes_min, cfg.modes_max + 1)),
                                  cfg.quadrature)
     except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(str(exc)) from exc
     out = _output_dir(cfg)
     xs = (0.0, 0.1, 0.5)
     G = spectral.gram_matrix(modes)
@@ -313,19 +308,32 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     rows = [v for m, err, res in zip(modes.modes(), gram_err.tolist(),
                                      resid.tolist())
             for v in (m.n, m.lam, m.rho, err, res)]
-    all_ok = not (gram_err > 1e-6).any()
     write_csv(out / "spectral.csv",
               ["n", "lambda", "rho", "gram_err", "eigen_residual"], rows)
-
-    if not (bounds > 0.0).all():
-        all_ok = False
     write_csv(out / "observability.csv", ["x", "lower_bound"],
               [v for row in zip(xs, bounds.tolist()) for v in row])
     print(f"diagnostics written to {out.resolve()}")
-    return EXIT_OK if all_ok else EXIT_RUNTIME
+
+    worst, tol = int(gram_err.argmax()), 1e-6
+    if not gram_err[worst] <= tol:
+        raise Failed(f"gram_err {gram_err[worst]:.3e} of mode "
+                     f"{modes.indices[worst]} exceeds {tol:g}")
+    for x, bound in zip(xs, bounds):
+        if not bound > 0.0:
+            raise Failed(f"observability lower bound at x = {x:g} is not "
+                         f"positive")
+    return EXIT_OK
 
 
 COMMANDS = {"solve": cmd_solve, "diagnose": cmd_diagnose}
+
+# each failure main reports: its exit code and its stderr line's prefix
+FAILURES = {ConfigError: (EXIT_USAGE, "configuration error: "),
+            ObservabilityDeficient: (EXIT_RUNTIME, "gain design failed: "),
+            PlacementFailed: (EXIT_RUNTIME, "gain design failed: "),
+            NonFiniteState: (EXIT_RUNTIME, "solver overflowed: "),
+            Failed: (EXIT_RUNTIME, ""),
+            OutputError: (EXIT_RUNTIME, "")}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -339,19 +347,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(USAGE, file=sys.stderr)
         return EXIT_USAGE
     try:
-        path, overrides = None, []
-        for flag, value in _flag_pairs(args[1:]):
-            if flag == "--config":
-                path = value
-            else:
-                overrides += (flag, value)
-        return COMMANDS[args[0]](parse_config(path, overrides))
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OutputError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_RUNTIME
+        return COMMANDS[args[0]](parse_config(None, args[1:]))
+    except tuple(FAILURES) as exc:
+        code, prefix = FAILURES[type(exc)]
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

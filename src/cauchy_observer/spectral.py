@@ -303,6 +303,11 @@ def eigen_residual(modes: ModeSet) -> np.ndarray:
     component; the first row of the relation (p2 = lam * p1) is zero by
     construction, so the residual is the second-row defect
     ``-D2 p1 - lam * p2``, which shrinks at second order in the node spacing.
+
+    Its rounding floor: dividing the rows' rounding by ``h**2``, it measures
+    rounding for low modes at fine quadrature.  Mode 1 at q = 4001 reads
+    22-30% above the exact discrete defect ``|rho c1| |4/h**2 sin(lam h/2)**2
+    - lam**2|`` (2% at q = 2001).
     """
     lam, p1, _ = _sample_rows(modes)
     h = ANALYSIS_LENGTH / (modes.quadrature - 1)

@@ -6,6 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+from cauchy_observer import (ObserverProblem, ackermann_gain, assemble,
+                             build_grid, dirichlet_example, make_cauchy_data,
+                             neumann_example, ring_poles, run, top_residual)
 from cauchy_observer.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, USAGE,
                                  RunConfig, main, parse_config, write_csv)
 from cauchy_observer.observer import error_bottom
@@ -45,6 +48,12 @@ class TestConfigParsing:
         path = write_config(tmp_path, "wibble = 3\n")
         with pytest.raises(Exception):
             parse_config(path, [])
+
+    def test_config_flag_among_the_overrides(self, tmp_path):
+        # the file is read first, then --nx applies over its nx = 65
+        path = write_config(tmp_path, "nx = 65\nny = 3\n")
+        cfg = parse_config(None, ["--config", path, "--nx", "33"])
+        assert (cfg.nx, cfg.ny) == (33, 3)
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = write_config(tmp_path, "# hi\n\nnx = 33  # trailing\n")
@@ -148,6 +157,26 @@ class TestSolve:
         hist = (out / "history.csv").read_text().splitlines()[1].split(",")
         want = error_bottom(rows[:, 2:], rows[:, 1], cfg.a / (cfg.nx - 1))
         assert float(hist[2]) == want
+
+    @pytest.mark.parametrize("example,nx,ny,sample", [
+        ("neumann", 257, 5, neumann_example),
+        ("dirichlet", 513, 3, dirichlet_example),
+    ])
+    def test_top_residual_is_run_fields_data_mismatch(self, tmp_path, example,
+                                                      nx, ny, sample):
+        # history.csv's top_residual is top_residual of run's field against
+        # the top data, bit for bit
+        out = tmp_path / "run17"
+        assert main(["solve", "--example", example, "--nx", str(nx),
+                     "--ny", str(ny), "--output_dir", str(out)]) == EXIT_OK
+        a, b = RunConfig.a, RunConfig.b
+        grid = build_grid(a, b, nx, ny)
+        cauchy = make_cauchy_data(sample(a, b), grid)
+        mats = assemble(grid)
+        gain = ackermann_gain(mats.F, mats.C_row, ring_poles(2 * ny, 0.55))
+        field, _ = run(ObserverProblem(grid, cauchy, mats, gain))
+        hist = (out / "history.csv").read_text().splitlines()[1].split(",")
+        assert float(hist[1]) == top_residual(field, cauchy.f, grid.dx)
 
     def test_zero_data_score_the_absolute_error(self, tmp_path, capsys):
         out = tmp_path / "run16"
@@ -329,6 +358,17 @@ class TestSolve:
         assert main(["solve", "--config", cfg]) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("example", ["neumann", "dirichlet"])
+    def test_bad_terms_rejected_for_every_example(self, tmp_path, capsys,
+                                                  example):
+        # only combo reads terms, but a malformed value is refused anyway
+        out = tmp_path / "run18"
+        assert main(["solve", "--example", example, "--terms", "garbage",
+                     "--output_dir", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "configuration error: bad term "
+                                       "'garbage'; expected like 1.0*cos1\n")
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
         for name in ("d1", "d2"):
@@ -341,6 +381,36 @@ class TestSolve:
             b1 = (outs[0] / fname).read_bytes()
             b2 = (outs[1] / fname).read_bytes()
             assert b1 == b2, fname
+
+
+class TestFailureTable:
+    @pytest.mark.parametrize("argv, code, prefix", [
+        (["solve", "--nx", "many"], EXIT_USAGE, "configuration error: "),
+        (["solve", "--a", "1e308"], EXIT_RUNTIME, "gain design failed: "),
+        (["solve", "--example", "combo", "--terms", "1e308*cos1+1e308*cos1"],
+         EXIT_RUNTIME, "solver overflowed: "),
+        (["solve", "--pole_layout", "uniform", "--pole_max", "0.9999"],
+         EXIT_RUNTIME, "solver rejected the configuration: "),
+        (["solve", "--nx", "129", "--output_dir", "{blocked}"], EXIT_RUNTIME,
+         "cannot write "),
+        (["diagnose", "--quadrature", "5"], EXIT_RUNTIME, "gram_err "),
+        (["diagnose", "--modes_min", "100", "--modes_max", "102",
+          "--quadrature", "101"], EXIT_RUNTIME,
+         "observability lower bound at x = "),
+    ], ids=["config", "gain_design", "overflow", "rejected", "unwritable",
+            "gram_err", "observability"])
+    def test_one_stderr_line_per_failure(self, tmp_path, capsys, argv, code,
+                                         prefix):
+        # main maps each failure to its exit code and one stderr line
+        blocked = tmp_path / "blocked"
+        (blocked / "boundary.csv").mkdir(parents=True)
+        argv = [arg.format(blocked=blocked) for arg in argv]
+        if "--output_dir" not in argv:
+            argv += ["--output_dir", str(tmp_path / "out")]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith(prefix)
 
 
 class TestUsage:
@@ -483,6 +553,28 @@ class TestDiagnose:
         orow = np.array([line.split(",") for line in obs[1:]], dtype=float)
         assert np.allclose(orow[:, 0], [0.0, 0.1, 0.5])
         assert (orow[:, 1] > 0.0).all()
+
+    @staticmethod
+    def assert_failed_after_writing(out, capsys, argv, err):
+        assert main(["diagnose", "--output_dir", str(out)] + argv) == (
+            EXIT_RUNTIME)
+        assert capsys.readouterr() == (
+            f"diagnostics written to {out.resolve()}\n", err + "\n")
+        assert {p.name for p in out.iterdir()} == {"spectral.csv",
+                                                   "observability.csv"}
+
+    def test_gram_error_names_the_worst_mode(self, tmp_path, capsys):
+        # 5 nodes cannot resolve the modes: their Gram rows are all ~1
+        self.assert_failed_after_writing(
+            tmp_path / "diag3", capsys, ["--quadrature", "5"],
+            "gram_err 1.000e+00 of mode -4 exceeds 1e-06")
+
+    def test_underflowing_bound_names_its_distance(self, tmp_path, capsys):
+        # the bound of modes 100..102 underflows to 0 at x = 0.5
+        self.assert_failed_after_writing(
+            tmp_path / "diag4", capsys,
+            ["--modes_min", "100", "--modes_max", "102", "--quadrature", "101"],
+            "observability lower bound at x = 0.5 is not positive")
 
     def test_bad_mode_range(self, tmp_path):
         out = tmp_path / "diag2"

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -59,9 +60,11 @@ class TestNorms:
             0.014142135623730951, rel=1e-12)
 
     def test_zero_reference_falls_back_to_absolute(self):
+        # the absolute error, with no warning
         grid = build_grid(A, B, 9, 3)
         field = np.ones((9, 6))
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             err = error_bottom(field, np.zeros(9), grid.dx)
         assert err == pytest.approx(np.sqrt(2 * np.pi), rel=1e-12)
 
@@ -87,6 +90,19 @@ class TestNorms:
 
 
 class TestRun:
+    @pytest.mark.parametrize("nx,b", [(129, B), (257, 0.6)],
+                             ids=["dx", "dy"])
+    def test_matrices_of_another_grid_rejected(self, nx, b):
+        # 129x5 matrices and gain would march 257x5 data to a bottom error
+        # of 0.270 (0.0178 on the matching grid); a grid with the same node
+        # counts but another b has another dy
+        grid, _, _, _, data = standard_problem(257, 5, "ring")
+        other = build_grid(A, b, nx, 5)
+        mats = assemble(other)
+        gain = ackermann_gain(mats.F, mats.C_row, ring_poles(10, 0.55))
+        with pytest.raises(ValueError, match="assembled for a different grid"):
+            ObserverProblem(grid, data, mats, gain)
+
     def test_zero_data_zero_solution(self):
         grid, mats, gain, _, _ = standard_problem()
         data = CauchyData(f=np.zeros(grid.nx), g=np.zeros(grid.nx))
@@ -108,7 +124,9 @@ class TestRun:
         field, report = run(problem)
         assert report.sweeps == 1 and report.converged_at == 1
         assert report.warmup_steps == gain.settle_steps
-        assert report.top_residual == top_residual(field, data.f, grid.dx)
+        # run reports on its march only; solve scores the data residual
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "warmup_steps", "periodicity_defect"]
         assert report.periodicity_defect == (
             np.abs(field[-1] - field[0]).max() / np.abs(field).max())
         _, bare = run(problem, ObserverConfig(start_line=field[-1]))
