@@ -20,6 +20,7 @@ the closed-loop eigenvalues at order one.  The post-check turns that into an
 explicit PlacementFailed instead of returning garbage.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -129,7 +130,7 @@ def settle_steps(M: np.ndarray) -> Optional[int]:
     powers = [np.asarray(M, dtype=float)]    # powers[i] = M^(2^i)
     # an unstable M overflows while squaring; inf and nan never settle
     with np.errstate(over="ignore", invalid="ignore"):
-        while not np.linalg.norm(powers[-1]) <= SETTLE_TOL:
+        while not _frobenius(powers[-1]) <= SETTLE_TOL:
             if len(powers) > _SETTLE_CAP_LOG2:
                 return None
             powers.append(powers[-1] @ powers[-1])
@@ -137,9 +138,16 @@ def settle_steps(M: np.ndarray) -> Optional[int]:
         lo, M_lo = 0, None
         for i in range(len(powers) - 2, -1, -1):
             trial = powers[i] if M_lo is None else M_lo @ powers[i]
-            if not np.linalg.norm(trial) <= SETTLE_TOL:
+            if not _frobenius(trial) <= SETTLE_TOL:
                 lo, M_lo = lo + 2 ** i, trial
     return lo + 1
+
+
+def _frobenius(P: np.ndarray) -> float:
+    """``np.linalg.norm(P)`` of a real matrix, the same sum in the same
+    order, without its dispatch."""
+    v = P.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def _real_poly_from_poles(poles: np.ndarray, dtype) -> np.ndarray:
@@ -224,10 +232,10 @@ def ackermann_gain(F: np.ndarray, C_row: np.ndarray, spec: PoleSpec,
     Fw = F.astype(ld)
     Ow = observability_matrix(F, C, ld)
     coeffs = _real_poly_from_poles(spec.poles, ld)
-    eye = np.eye(n, dtype=ld)
-    Q = coeffs[0] * eye
+    Q = coeffs[0] * np.eye(n, dtype=ld)
     for c in coeffs[1:]:
-        Q = Q @ Fw + c * eye
+        Q = Q @ Fw
+        Q.flat[::n + 1] += c
     e_last = np.zeros(n, dtype=ld)
     e_last[-1] = 1.0
     z = _solve_extended(Ow, e_last)

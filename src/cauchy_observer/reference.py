@@ -120,6 +120,11 @@ def d_dy(sol: ReferenceSolution, x, y):
     return _sum_terms(sol, x, y, "y")
 
 
+def _isclose(a: float, b: float) -> bool:
+    """``np.isclose(a, b)`` for a finite ``b``, in scalar arithmetic."""
+    return abs(a - b) <= 1e-8 + 1e-5 * abs(b)
+
+
 def make_cauchy_data(sol: ReferenceSolution, grid: RectGrid) -> CauchyData:
     """Sample (f, g) on the top boundary at the grid's x nodes.
 
@@ -127,7 +132,7 @@ def make_cauchy_data(sol: ReferenceSolution, grid: RectGrid) -> CauchyData:
     supported families (the cosh profile is flat at y = b).  A sum of terms
     that overflows is refused by ``CauchyData``'s finiteness check.
     """
-    if not (np.isclose(sol.a, grid.a) and np.isclose(sol.b, grid.b)):
+    if not (_isclose(sol.a, grid.a) and _isclose(sol.b, grid.b)):
         raise ValueError("solution and grid must share the domain extents")
     x = grid.x
     with np.errstate(over="ignore", invalid="ignore"):

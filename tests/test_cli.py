@@ -1,6 +1,8 @@
 import dataclasses
+import os
 import pathlib
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -505,6 +507,47 @@ class TestOutputDirectory:
         assert captured.out == ""
         assert {p.name for p in out.iterdir()} == written | {blocked}
         assert (out / blocked).is_dir()
+
+    @staticmethod
+    def argv(command, out):
+        args = ["--nx", "129"] if command == "solve" else []
+        return [command, *args, "--output_dir", str(out)]
+
+    @pytest.mark.parametrize("command, count", [("solve", 4), ("diagnose", 2)])
+    def test_rerun_rewrites_each_file_in_place(self, tmp_path, command, count):
+        # the old files are held open, so a re-created file could not get
+        # an old inode number back; a reader holding one sees the rewrite
+        out = tmp_path / "out"
+        assert main(self.argv(command, out)) == EXIT_OK
+        held = {p.name: os.open(p, os.O_RDONLY) for p in out.iterdir()}
+        try:
+            assert main(self.argv(command, out)) == EXIT_OK
+            assert len(held) == count
+            for name, fd in held.items():
+                assert os.fstat(fd).st_ino == (out / name).stat().st_ino
+                assert os.pread(fd, 1 << 16, 0) == (out / name).read_bytes()
+        finally:
+            for fd in held.values():
+                os.close(fd)
+
+    @pytest.mark.parametrize("command, name", [("solve", "history.csv"),
+                                               ("diagnose", "spectral.csv")])
+    def test_fifo_output_is_replaced_without_blocking(self, tmp_path, command,
+                                                      name):
+        # no process reads the FIFO: opening it to write must neither wait
+        # for a reader nor fail
+        out = tmp_path / "out"
+        out.mkdir()
+        os.mkfifo(out / name)
+        codes = []
+        worker = threading.Thread(
+            target=lambda: codes.append(main(self.argv(command, out))),
+            daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive(), f"{command} blocked on the FIFO"
+        assert codes == [EXIT_OK]
+        assert (out / name).is_file()
 
     def test_linked_output_is_replaced_not_written_through(self, tmp_path):
         out = tmp_path / "out"
