@@ -9,12 +9,13 @@ files with fixed formatting (17 significant digits, comma separator, LF line
 endings) so that identical runs produce byte-identical artifacts, plus a
 gnuplot script that plots the bottom traces.  Each output replaces any file
 of its name (see ``replace_file``): a regular file with one link is
-rewritten in place and cut to its new length, about 20-50 us per file on
-ext4 mounted with ``discard`` against 130-280 us to unlink and re-create it;
-a symlink, a hard-linked file, a FIFO or a directory is unlinked and a new
-file created.  A rewritten file keeps its inode and its mode, a reader
-holding it open sees the rewrite, and a process killed between the write
-and the cut can leave the old file's tail.
+rewritten in place, and cut to its new length only when it was longer,
+about 20-50 us per file on ext4 mounted with ``discard`` against 130-280 us
+to unlink and re-create it; a symlink, a hard-linked file, a FIFO or a
+directory is unlinked and a new file created.  A rewritten file keeps its
+inode and its mode, a reader holding it open sees the rewrite, and a
+process killed between the write and the cut can leave the old file's
+tail.
 
 Exit codes are decided in ``main``, which maps each failure the commands
 raise to its code and stderr line (``FAILURES``): 0 success, 1 runtime
@@ -26,6 +27,7 @@ it never raises SystemExit.
 """
 
 import contextlib
+import errno
 import math
 import os
 import stat
@@ -41,8 +43,8 @@ from .discrete_ops import assemble
 from .gain import (ObservabilityDeficient, PlacementFailed, PoleSpec,
                    ackermann_gain, ring_poles, uniform_poles)
 from .grid import build_grid
-from .observer import (NonFiniteState, ObserverProblem, discrete_l2,
-                       error_bottom, run, top_residual)
+from .observer import (NonFiniteState, ObserverProblem, discrete_l2, run,
+                       top_residual)
 from .reference import (ReferenceSolution, TrigTerm, bottom_trace,
                         combo_example, dirichlet_example, make_cauchy_data,
                         neumann_example)
@@ -57,6 +59,8 @@ USAGE = ("usage: cauchy-observer {solve,diagnose} [--config FILE] "
 
 @dataclass
 class RunConfig:
+    """The keys of a config file, with their defaults."""
+
     example: str = "neumann"            # neumann | dirichlet | combo
     terms: str = "1.0*cos1"             # read by combo: "1.0*cos1+0.5*sin1"
     a: float = 2.0 * math.pi
@@ -70,6 +74,9 @@ class RunConfig:
     modes_max: int = spectral.DEFAULT_MODE_INDICES[-1]
     quadrature: int = spectral.DEFAULT_QUADRATURE
     output_dir: str = "."
+
+
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 class ConfigError(Exception):
@@ -91,22 +98,18 @@ def parse_config(path: Optional[str], overrides: List[str]) -> RunConfig:
     pairs = _flag_pairs(overrides)
     path = dict(pairs).get("--config", path)
     cfg = RunConfig()
-    types = {f.name: f.type for f in fields(RunConfig)}
 
     def apply(key: str, value: str):
         key, value = key.strip(), value.strip()
-        if key not in types:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown configuration key: {key!r}")
         try:
-            setattr(cfg, key, types[key](value))
+            setattr(cfg, key, _FIELD_TYPES[key](value))
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
     if path is not None:
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        for lineno, line in enumerate(p.read_text().splitlines(), 1):
+        for lineno, line in enumerate(_read_config(path).splitlines(), 1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
@@ -119,6 +122,37 @@ def parse_config(path: Optional[str], overrides: List[str]) -> RunConfig:
         if flag != "--config":
             apply(flag[2:], value)
     return cfg
+
+
+# errors of os.stat that mean no file is there, as for Path.is_file
+_NOT_THERE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+
+
+def _read_config(path: str) -> str:
+    """The text of the config file at ``path``.  ConfigError "config file
+    not found" unless ``path`` is a regular file (a missing path, a
+    directory and a FIFO among them), and "cannot read config file" when
+    it cannot be read or decoded."""
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except ValueError:              # an embedded null byte
+        regular = False
+    except OSError as exc:
+        if exc.errno not in _NOT_THERE:
+            raise _unreadable(path, exc) from exc
+        regular = False
+    if not regular:
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from exc
+
+
+def _unreadable(path: str, exc: Exception) -> ConfigError:
+    reason = getattr(exc, "strerror", None) or exc
+    return ConfigError(f"cannot read config file {path}: {reason}")
 
 
 def _flag_pairs(tokens: List[str]) -> List[Tuple[str, str]]:
@@ -185,10 +219,11 @@ def replace_file(path: Path, text: str) -> None:
 
     A missing file, or a regular file with one link, is written in place:
     one open without truncation, the bytes written over the old ones, then
-    the file cut to the new length.  Anything else at ``path`` (a symlink,
-    a hard-linked file, a FIFO, a directory, a file that will not open for
-    writing) is unlinked and a new file created in its place, so a link is
-    replaced, not written through.  Every re-run into one directory
+    the file cut to the new length if the old one was longer (a re-run over
+    a file of equal length or a shorter one makes no cut).  Anything else
+    at ``path`` (a symlink, a hard-linked file, a FIFO, a directory, a file
+    that will not open for writing) is unlinked and a new file created in
+    its place, so a link is replaced, not written through.  Every re-run into one directory
     (``output_dir`` defaults to ``.``) rewrites all its outputs.  On ext4
     mounted with ``discard`` (a 2-vCPU Xeon VM), in-process ``solve`` runs
     at 257x5 re-run into 24 directories took a median 47-51 us per file
@@ -215,9 +250,9 @@ def replace_file(path: Path, text: str) -> None:
 
 def _rewrite_in_place(path: Path, data: bytes) -> bool:
     """Write ``data`` over a missing file or a one-link regular file at
-    ``path`` and cut it to ``len(data)``; False, with nothing written, for
-    anything else.  O_NOFOLLOW refuses a symlink and O_NONBLOCK keeps the
-    open of a FIFO without a reader from blocking."""
+    ``path`` and cut it to ``len(data)`` if it was longer; False, with
+    nothing written, for anything else.  O_NOFOLLOW refuses a symlink and
+    O_NONBLOCK keeps the open of a FIFO without a reader from blocking."""
     try:
         fd = os.open(path, _REWRITE_FLAGS, 0o666)
     except OSError:
@@ -229,7 +264,8 @@ def _rewrite_in_place(path: Path, data: bytes) -> bool:
         view = memoryview(data)
         while view:
             view = view[os.write(fd, view):]
-        os.ftruncate(fd, len(data))
+        if st.st_size > len(data):
+            os.ftruncate(fd, len(data))
         return True
     finally:
         os.close(fd)
@@ -240,16 +276,19 @@ def write_csv(path: Path, header: List[str], fields) -> None:
     to a row, with a single %-format: the line format is built from the
     first row's field types and repeated for every row.  A field whose type
     calls for another spec than its column's first field raises ValueError,
-    so no field is formatted with the wrong spec.  Python floats format
-    fastest, so callers pass ``ndarray.ravel().tolist()`` rather than numpy
-    scalars."""
+    so no field is formatted with the wrong spec; the columns are scanned
+    for it only when the fields hold more than one type.  Python floats
+    format fastest, so callers pass ``ndarray.ravel().tolist()`` rather than
+    numpy scalars."""
     fields = tuple(fields)
     ncols = len(header)
     specs = [_spec(type(v)) for v in fields[:ncols]]
-    for col, spec in enumerate(specs):
-        if any(_spec(kind) != spec for kind in set(map(type, fields[col::ncols]))):
-            raise ValueError(f"{path.name}: column {header[col]!r} mixes "
-                             f"field types")
+    if len(set(map(type, fields))) > 1:     # one type fits every column
+        for col, spec in enumerate(specs):
+            if any(_spec(kind) != spec
+                   for kind in set(map(type, fields[col::ncols]))):
+                raise ValueError(f"{path.name}: column {header[col]!r} "
+                                 f"mixes field types")
     line = "\n" + ",".join(specs)
     text = (line * (len(fields) // ncols)) % fields
     replace_file(path, ",".join(header) + text + "\n")
@@ -271,6 +310,8 @@ def _output_dir(cfg: RunConfig) -> Path:
     """The output directory, created if missing; ConfigError if it cannot
     be (a file in its place or on its path, no permission)."""
     out = Path(cfg.output_dir)
+    if os.path.isdir(out):          # mkdir would fail on EEXIST, then stat
+        return out
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -322,16 +363,20 @@ def cmd_solve(cfg: RunConfig) -> int:
     write_csv(out / "boundary.csv",
               ["x", "exact_bottom", "estimated_bottom"],
               np.column_stack((grid.x, exact, field[:, 0])).ravel().tolist())
-    if discrete_l2(exact, grid.dx) == 0.0:
+    # error_bottom's score, with the exact trace's norm taken once
+    exact_norm = discrete_l2(exact, grid.dx)
+    error = discrete_l2(field[:, 0] - exact, grid.dx)
+    if exact_norm == 0.0:
         print("bottom_error in history.csv is the absolute error: the exact "
               "bottom trace is zero", file=sys.stderr)
+    else:
+        error /= exact_norm
     write_csv(out / "history.csv", ["sweep", "top_residual", "bottom_error"],
-              [1, top_residual(field, cauchy.f, grid.dx),
-               error_bottom(field, exact, grid.dx)])
+              [1, top_residual(field, cauchy.f, grid.dx), error])
     replace_file(out / "plot.gp", _PLOT_SCRIPT)
     print(f"one sweep after a {report.warmup_steps}-step warm-up; "
           f"periodicity defect {report.periodicity_defect:.1e}; "
-          f"outputs in {out.resolve()}")
+          f"outputs in {os.path.realpath(out)}")
     return EXIT_OK
 
 
@@ -355,7 +400,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
               ["n", "lambda", "rho", "gram_err", "eigen_residual"], rows)
     write_csv(out / "observability.csv", ["x", "lower_bound"],
               [v for row in zip(xs, bounds.tolist()) for v in row])
-    print(f"diagnostics written to {out.resolve()}")
+    print(f"diagnostics written to {os.path.realpath(out)}")
 
     worst, tol = int(gram_err.argmax()), 1e-6
     if not gram_err[worst] <= tol:

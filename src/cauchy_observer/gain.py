@@ -175,8 +175,9 @@ def _real_poly_from_poles(poles: np.ndarray, dtype) -> np.ndarray:
 def _solve_extended(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Gauss-Jordan elimination with partial pivoting in extended precision.
 
-    Each column is cleared by one outer-product update of the other rows,
-    the same products and differences as updating them one at a time."""
+    Each column is cleared by one outer-product update of the other rows
+    (a broadcast product, without ``np.outer``'s dispatch), the same
+    products and differences as updating them one at a time."""
     n = A.shape[0]
     M = np.concatenate([A, rhs[:, None]], axis=1)
     for col in range(n):
@@ -186,7 +187,7 @@ def _solve_extended(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         row = M[piv] / M[piv, col]
         M[piv] = M[col]
         M[col] = 0.0            # the pivot row's factor below is 0
-        M -= np.outer(M[:, col], row)
+        M -= M[:, col, None] * row
         M[col] = row
     return M[:, -1]
 
@@ -223,7 +224,11 @@ def ackermann_gain(F: np.ndarray, C_row: np.ndarray, spec: PoleSpec,
         O = observability_matrix(F, C)
     if not np.isfinite(O).all():
         raise ObservabilityDeficient("observability matrix is not finite")
-    cond = float(np.linalg.cond(O))
+    # np.linalg.cond(O) from one SVD, in Python floats, which overflow to
+    # inf without a warning; a zero smallest singular value gives inf, as
+    # it does there
+    s_max, s_min = np.linalg.svd(O, compute_uv=False)[[0, -1]].tolist()
+    cond = s_max / s_min if s_min else math.inf
     if not np.isfinite(cond) or cond > cond_cap:
         raise ObservabilityDeficient(
             f"observability matrix condition {cond:.3e} exceeds cap {cond_cap:.1e}")
@@ -232,8 +237,11 @@ def ackermann_gain(F: np.ndarray, C_row: np.ndarray, spec: PoleSpec,
     Fw = F.astype(ld)
     Ow = observability_matrix(F, C, ld)
     coeffs = _real_poly_from_poles(spec.poles, ld)
-    Q = coeffs[0] * np.eye(n, dtype=ld)
-    for c in coeffs[1:]:
+    # Horner from the monic lead: (1 I) @ F is F (up to the sign of a -0.0
+    # entry; I + dx A has none), so start at F + c1 I
+    Q = Fw.copy()
+    Q.flat[::n + 1] += coeffs[1]
+    for c in coeffs[2:]:
         Q = Q @ Fw
         Q.flat[::n + 1] += c
     e_last = np.zeros(n, dtype=ld)

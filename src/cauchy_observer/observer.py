@@ -66,6 +66,8 @@ class NonFiniteState(Exception):
 
 @dataclass(frozen=True)
 class ObserverProblem:
+    """The grid, its top Cauchy data, its matrices and the gain of one run."""
+
     grid: RectGrid
     cauchy: CauchyData
     mats: SystemMatrices
@@ -83,6 +85,8 @@ class ObserverProblem:
 
 @dataclass
 class ObserverConfig:
+    """Options of one run."""
+
     # (2*ny,): the state the sweep starts from at x = 0, as the last line of
     # a previous sweep.  Default: the wrapped warm-up (see module docstring)
     start_line: Optional[np.ndarray] = None
@@ -90,6 +94,8 @@ class ObserverConfig:
 
 @dataclass
 class SweepReport:
+    """What one run's march reports about itself."""
+
     warmup_steps: int               # 0 for an explicit start line
     periodicity_defect: float       # max|x_N - x_0| / max|field|
 
@@ -114,12 +120,15 @@ def discrete_l2(values: np.ndarray, dx: float) -> float:
 
     Values above 1 are scaled by 2**-e, with 2**e just above their peak,
     before they are squared: exact, and the squares of values near the
-    float range do not overflow.
+    float range do not overflow.  With a peak below 1, e is 0 and the
+    values are squared as they are (the skipped scaling is an exact x1.0).
     """
     values = np.asarray(values)
     w = _trapezoid_weights(len(values), dx)
     e = max(0, math.frexp(np.abs(values).max(initial=0.0))[1])
-    return math.ldexp(float(np.sqrt((w * (values * 2.0 ** -e) ** 2).sum())), e)
+    if e:
+        values = values * 2.0 ** -e
+    return math.ldexp(float(np.sqrt((w * values ** 2).sum())), e)
 
 
 def top_residual(field: np.ndarray, f_samples: np.ndarray, dx: float) -> float:

@@ -28,6 +28,8 @@ _PARITIES = ("cos", "sin")
 
 @dataclass(frozen=True)
 class TrigTerm:
+    """One separable term: coeff * trig(4*pi*k*x/a) * its cosh profile."""
+
     k: int
     coeff: float
     parity: str  # "cos" or "sin"
@@ -43,6 +45,8 @@ class TrigTerm:
 
 @dataclass(frozen=True)
 class ReferenceSolution:
+    """A sum of trig terms on the rectangle [0, a] x [0, b]."""
+
     terms: tuple
     a: float
     b: float
@@ -129,15 +133,19 @@ def make_cauchy_data(sol: ReferenceSolution, grid: RectGrid) -> CauchyData:
     """Sample (f, g) on the top boundary at the grid's x nodes.
 
     g is the analytic normal derivative, which vanishes identically for the
-    supported families (the cosh profile is flat at y = b).  A sum of terms
-    that overflows is refused by ``CauchyData``'s finiteness check.
+    supported families (the cosh profile is flat at y = b).  When the grid's
+    b equals the solution's exactly, g is a +0.0 array made without the term
+    loop: there every term's sinh factor is sinh(0) = +0.0, so the loop sums
+    +0.0 at every node whenever f is finite.  When the two b differ within
+    the extent check's tolerance, ``d_dy`` samples g at the grid's b.  A sum
+    of terms that overflows is refused by ``CauchyData``'s finiteness check.
     """
     if not (_isclose(sol.a, grid.a) and _isclose(sol.b, grid.b)):
         raise ValueError("solution and grid must share the domain extents")
     x = grid.x
     with np.errstate(over="ignore", invalid="ignore"):
         f = evaluate(sol, x, grid.b)
-        g = d_dy(sol, x, grid.b)
+        g = np.zeros(len(x)) if grid.b == sol.b else d_dy(sol, x, grid.b)
     return CauchyData(f=np.asarray(f, dtype=float), g=np.asarray(g, dtype=float))
 
 

@@ -69,6 +69,8 @@ def mode_frequency(n: int) -> float:
 
 @dataclass(frozen=True)
 class EigenMode:
+    """Mode n of the family: its rate lam and its normalization rho."""
+
     n: int
     lam: float = field(init=False)
     rho: float = field(init=False)

@@ -8,11 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
-from cauchy_observer import (ObserverProblem, ackermann_gain, assemble,
-                             build_grid, dirichlet_example, make_cauchy_data,
+from cauchy_observer import (ObserverProblem, TrigTerm, ackermann_gain,
+                             assemble, bottom_trace, build_grid, combo_example,
+                             dirichlet_example, make_cauchy_data,
                              neumann_example, ring_poles, run, top_residual)
 from cauchy_observer.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, USAGE,
-                                 RunConfig, main, parse_config, write_csv)
+                                 ConfigError, RunConfig, main, parse_config,
+                                 write_csv)
 from cauchy_observer.observer import error_bottom
 
 BASE_CONFIG = """\
@@ -634,3 +636,105 @@ class TestDiagnose:
             outs.append(out)
         for fname in ("spectral.csv", "observability.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+class TestConfigFileErrors:
+    @pytest.mark.parametrize("kind", ["missing", "directory", "fifo"])
+    def test_not_a_regular_file_is_not_found(self, tmp_path, capsys, kind):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "fifo":
+            os.mkfifo(path)
+        with pytest.raises(ConfigError) as info:
+            parse_config(str(path), [])
+        assert str(info.value) == f"config file not found: {path}"
+        for command in ("solve", "diagnose"):
+            out = tmp_path / f"out_{command}"
+            assert main([command, "--config", str(path),
+                         "--output_dir", str(out)]) == EXIT_USAGE
+            assert capsys.readouterr() == (
+                "", f"configuration error: config file not found: {path}\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "diagnose"])
+    def test_undecodable_config_is_a_configuration_error(
+            self, tmp_path, monkeypatch, capsys, command):
+        # the file is read before any output directory is made, the default
+        # output_dir "." included
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"nx = 257\n\xff\xfe = 3\n")
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        for argv in ([command, "--config", "bad.cfg"],
+                     [command, "--config", str(cfg), "--output_dir", str(out)]):
+            assert main(argv) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(
+                f"configuration error: cannot read config file {argv[2]}: ")
+            assert "codec can't decode byte 0xff" in captured.err
+            assert captured.err.count("\n") == 1
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+
+class TestOutputBits:
+    @pytest.mark.parametrize("example, terms", [("neumann", "1.0*cos1"),
+                                                ("combo", "0*cos1")])
+    def test_history_csv_bytes(self, tmp_path, capsys, example, terms):
+        # history.csv holds top_residual and error_bottom of the run's field
+        # to 17 digits; a zero exact trace gives the absolute error
+        out = tmp_path / "out"
+        assert main(["solve", "--nx", "129", "--example", example,
+                     "--terms", terms, "--output_dir", str(out)]) == EXIT_OK
+        zero_note = ("bottom_error in history.csv is the absolute error: the "
+                     "exact bottom trace is zero\n")
+        assert capsys.readouterr().err == (zero_note if terms == "0*cos1"
+                                           else "")
+        sol = (neumann_example(2 * np.pi, 0.5) if example == "neumann"
+               else combo_example([TrigTerm(1, 0.0, "cos")], 2 * np.pi, 0.5))
+        grid = build_grid(2 * np.pi, 0.5, 129, 5)
+        cauchy = make_cauchy_data(sol, grid)
+        mats = assemble(grid)
+        gain = ackermann_gain(mats.F, mats.C_row, ring_poles(10, 0.55))
+        field, _ = run(ObserverProblem(grid=grid, cauchy=cauchy, mats=mats,
+                                       gain=gain))
+        want = "sweep,top_residual,bottom_error\n1,%.17g,%.17g\n" % (
+            top_residual(field, cauchy.f, grid.dx),
+            error_bottom(field, bottom_trace(sol, grid), grid.dx))
+        assert (out / "history.csv").read_bytes() == want.encode("ascii")
+
+    @staticmethod
+    def record_cuts(monkeypatch):
+        """The lengths os.ftruncate is called with from now on."""
+        cuts, real_ftruncate = [], os.ftruncate
+        monkeypatch.setattr(
+            os, "ftruncate", lambda fd, n: cuts.append(n) or real_ftruncate(fd, n))
+        return cuts
+
+    @pytest.mark.parametrize("command, count", [("solve", 4), ("diagnose", 2)])
+    def test_equal_length_rerun_keeps_bytes_and_inode(
+            self, tmp_path, monkeypatch, command, count):
+        # a re-run over files of the same length writes the same bytes over
+        # them and never needs to cut them
+        out = tmp_path / "out"
+        argv = [command, "--output_dir", str(out)]
+        assert main(argv) == EXIT_OK
+        before = {p.name: (p.read_bytes(), p.stat().st_ino)
+                  for p in out.iterdir()}
+        cuts = self.record_cuts(monkeypatch)
+        assert main(argv) == EXIT_OK
+        after = {p.name: (p.read_bytes(), p.stat().st_ino)
+                 for p in out.iterdir()}
+        assert len(after) == count and after == before
+        assert cuts == []
+
+    def test_longer_old_file_is_cut(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["solve", "--nx", "513", "--ny", "3",
+                     "--output_dir", str(out)]) == EXIT_OK
+        cuts = self.record_cuts(monkeypatch)
+        assert main(["solve", "--nx", "129", "--output_dir", str(out)]) == EXIT_OK
+        size = (out / "boundary.csv").stat().st_size
+        assert size in cuts
+        assert (out / "boundary.csv").read_bytes().count(b"\n") == 130

@@ -304,3 +304,11 @@ class TestSettleSteps:
                                    np.full((2, 2), np.nan)])
     def test_unstable_never_settles(self, M):
         assert settle_steps(M) is None
+
+
+def test_degenerate_observability_condition_is_infinite():
+    # a zero output row: every singular value of O is zero, and cond(O) is
+    # inf, as np.linalg.cond gives it
+    with pytest.raises(ObservabilityDeficient,
+                       match="observability matrix condition inf exceeds"):
+        ackermann_gain(np.eye(4), np.zeros(4), ring_poles(4, 0.5))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import warnings
 
@@ -486,3 +487,31 @@ class TestWindowedMarch:
             for _ in range(2))
         assert not np.array_equal(f1[1], f2[1])
         assert np.array_equal(f1[W + 32:], f2[W + 32:])
+
+
+class TestDiscreteL2Bits:
+    @staticmethod
+    def rescaled(values, dx):
+        # the norm with its rescaling always applied
+        w = np.full(len(values), dx)
+        w[0] = w[-1] = 0.5 * dx
+        e = max(0, math.frexp(np.abs(values).max(initial=0.0))[1])
+        return math.ldexp(
+            float(np.sqrt((w * (values * 2.0 ** -e) ** 2).sum())), e)
+
+    @pytest.mark.parametrize("peak", [0.75, 1.0, 3.5, 2.0 ** 600])
+    def test_equals_the_rescaled_formula(self, peak):
+        rng = np.random.default_rng(19)
+        values = rng.uniform(-peak, peak, 41)
+        values[[3, 7]] = -0.0, 0.0
+        values[[11, 12]] = 5e-324, -2.0 ** -1060     # subnormals
+        values[20] = peak
+        for dx in (0.1, 2 * np.pi / 40):
+            got = discrete_l2(values, dx)
+            assert got.hex() == self.rescaled(values, dx).hex()
+
+    def test_all_zero_and_all_subnormal(self):
+        for values in (np.zeros(9), np.array([-0.0] * 9),
+                       np.full(9, 5e-324)):
+            assert discrete_l2(values, 0.5).hex() == self.rescaled(
+                values, 0.5).hex()

@@ -140,3 +140,31 @@ def test_term_validation():
         TrigTerm(1, 1.0, "tan")
     with pytest.raises(ValueError):
         combo_example([], A, B)
+
+
+@pytest.mark.parametrize("terms", [
+    [TrigTerm(1, 1.0, "cos")],
+    [TrigTerm(1, 1.0, "sin")],
+    [TrigTerm(1, -1.0, "cos"), TrigTerm(2, 0.25, "sin"), TrigTerm(3, -3.0, "sin")],
+])
+def test_cauchy_g_at_matching_b_is_the_term_loop_zero(terms):
+    # grid.b == sol.b: g skips the term loop; the loop's array, signs of
+    # zero included, is what it stands for
+    sol = combo_example(terms, A, B)
+    grid = build_grid(A, B, 65, 5)
+    g = make_cauchy_data(sol, grid).g
+    want = np.asarray(d_dy(sol, grid.x, grid.b), dtype=float)
+    assert g.dtype == want.dtype and g.shape == want.shape
+    assert np.array_equal(g, want)
+    assert np.array_equal(np.signbit(g), np.signbit(want))
+    assert not np.signbit(g).any()
+
+
+def test_cauchy_g_at_nearby_b_samples_the_derivative():
+    # a b within the extent check's tolerance but not equal: g is sampled
+    sol = combo_example([TrigTerm(1, 1.0, "cos"), TrigTerm(2, 0.5, "sin")],
+                        A, B)
+    grid = build_grid(A, B + 1e-9, 65, 5)
+    g = make_cauchy_data(sol, grid).g
+    assert np.any(g != 0.0)
+    assert np.array_equal(g, np.asarray(d_dy(sol, grid.x, grid.b)))
