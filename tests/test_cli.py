@@ -11,10 +11,11 @@ import pytest
 from cauchy_observer import (ObserverProblem, TrigTerm, ackermann_gain,
                              assemble, bottom_trace, build_grid, combo_example,
                              dirichlet_example, make_cauchy_data,
-                             neumann_example, ring_poles, run, top_residual)
+                             neumann_example, ring_poles, run, spectral,
+                             top_residual)
 from cauchy_observer.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, USAGE,
-                                 ConfigError, RunConfig, main, parse_config,
-                                 write_csv)
+                                 ConfigError, RunConfig, format_floats, main,
+                                 parse_config, write_csv)
 from cauchy_observer.observer import error_bottom
 
 BASE_CONFIG = """\
@@ -121,6 +122,112 @@ class TestWriteCsv:
         fields = [first, 0.1, first, 0.2, odd, 0.3]
         with pytest.raises(ValueError, match="column 'a' mixes field types"):
             write_csv(tmp_path / "t.csv", ["a", "b"], fields)
+        assert not (tmp_path / "t.csv").exists()
+
+
+def percent_lines(table) -> bytes:
+    """Reference: the table's rows through one %-format, as write_csv's
+    %-format route writes them."""
+    rows, ncols = table.shape
+    line = ",".join(["%.17g"] * ncols) + "\n"
+    return ((line * rows) % tuple(table.ravel().tolist())).encode("ascii")
+
+
+def random_bits(rng, size, exponents):
+    """Doubles with random sign and mantissa bits and binary exponent
+    fields drawn uniformly from ``exponents`` (0 subnormal, 2047 inf/nan)."""
+    bits = (rng.integers(0, 2, size, dtype=np.uint64) << np.uint64(63)
+            | rng.choice(exponents, size).astype(np.uint64) << np.uint64(52)
+            | rng.integers(0, 2 ** 52, size, dtype=np.uint64))
+    return bits.view(np.float64)
+
+
+class TestFormatFloats:
+    # exponent fields of the binades that print in fixed notation, from
+    # 2**-13 (> 1e-4) up to 2**56 (< 1e17)
+    FIXED_RANGE = np.arange(1023 - 13, 1023 + 56)
+
+    def assert_bytes(self, table):
+        table = np.asarray(table, dtype=float)
+        got = format_floats(table)
+        assert got is not None, "the table should take the vectorised route"
+        assert got == percent_lines(table)
+
+    def test_random_doubles_over_every_binary_exponent(self):
+        # 1e6 doubles over all 2048 exponent fields, mostly slow, beside
+        # 1e6 over the exponents of fixed notation, so that just over half
+        # of each 50000-row table is fast
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            self.assert_bytes(np.column_stack((
+                random_bits(rng, 50000, np.arange(2048)),
+                random_bits(rng, 50000, self.FIXED_RANGE))))
+
+    def test_neighbours_of_powers_of_ten(self):
+        # 10**k and its nine neighbours on each side, k in [-6, 18]
+        values = []
+        for k in range(-6, 19):
+            p = float(f"1e{k}")
+            below, above = [p], [p]
+            for _ in range(9):
+                below.append(np.nextafter(below[-1], 0.0))
+                above.append(np.nextafter(above[-1], np.inf))
+            values += below + above
+        values = np.array(values)
+        self.assert_bytes(np.column_stack((values, -values)))
+
+    def test_exact_ties_round_half_to_even(self):
+        # 1 + j 2**-17 has 18 significant digits, the last a 5
+        odd = np.arange(1, 2 ** 17, 2)
+        ties = 1.0 + odd * 2.0 ** -17
+        self.assert_bytes(ties.reshape(-1, 4))
+        assert format_floats(np.array([[1.00000762939453125]])) == (
+            b"1.0000076293945312\n")
+
+    def test_largest_doubles_below_a_power_do_not_round_up(self):
+        # 17 digits never carry a double into the next decade
+        tops = np.array([np.nextafter(float(f"1e{m}"), 0.0)
+                         for m in (-4, -3, -2, -1, 0, 1, 16, 17)])
+        assert format_floats(tops[:, None]).split(b"\n")[:-1] == [
+            b"9.9999999999999991e-05", b"0.0009999999999999998",
+            b"0.0099999999999999985", b"0.099999999999999992",
+            b"0.99999999999999989", b"9.9999999999999982",
+            b"9999999999999998", b"99999999999999984"]
+        self.assert_bytes(np.column_stack((tops, -tops, 1.0 / 3.0 + tops)))
+
+    def test_zeros_subnormals_and_non_finite_fields(self):
+        odd = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+               np.inf, -np.inf, np.nan, -np.nan, 1e300, -1e17, 9.9e-5]
+        ramp = np.linspace(-3.0, 7.0, len(odd))
+        self.assert_bytes(np.column_stack((odd, ramp, ramp * 1e3)))
+        self.assert_bytes([[0.0, -0.0, 1.0]])
+
+    @pytest.mark.parametrize("table", [
+        np.geomspace(1e-300, 1e-5, 30).reshape(10, 3),
+        np.full((4, 3), np.nan),
+        np.array([[1e17, -np.inf, 1.5], [1e-7, 2e200, -3.5]])])
+    def test_mostly_slow_table_takes_the_percent_route(self, tmp_path, table):
+        # fewer than half the fields in fixed notation: no vectorised bytes,
+        # and write_csv writes the %-format's
+        assert format_floats(table) is None
+        write_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b"a,b,c\n" + percent_lines(table))
+
+    def test_write_csv_writes_the_table_rows(self, tmp_path):
+        table = np.column_stack((np.linspace(0.0, 2 * np.pi, 9),
+                                 np.cos(np.arange(9.0)), -np.arange(9.0)))
+        write_csv(tmp_path / "t.csv", ["x", "y", "z"], table)
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b"x,y,z\n" + percent_lines(table))
+        write_csv(tmp_path / "e.csv", ["x", "y"], np.empty((0, 2)))
+        assert (tmp_path / "e.csv").read_bytes() == b"x,y\n"
+
+    @pytest.mark.parametrize("table", [
+        np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2), np.float32)])
+    def test_table_of_another_shape_is_refused(self, tmp_path, table):
+        with pytest.raises(ValueError, match="needs 2 float64 columns"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], table)
         assert not (tmp_path / "t.csv").exists()
 
 
@@ -613,6 +720,25 @@ class TestDiagnose:
         self.assert_failed_after_writing(
             tmp_path / "diag3", capsys, ["--quadrature", "5"],
             "gram_err 1.000e+00 of mode -4 exceeds 1e-06")
+
+    def test_aliased_modes_fail_the_eigen_check(self, tmp_path, capsys):
+        # on 5 nodes modes 20..22 alias to orthonormal samples (gram_err
+        # ~1e-15) while their eigen defect is 0.92 of its scale
+        self.assert_failed_after_writing(
+            tmp_path / "diag5", capsys,
+            ["--modes_min", "20", "--modes_max", "22", "--quadrature", "5"],
+            "eigen_residual 1.689e+02 of mode 21 exceeds 9.140e+01, half its "
+            "scale |rho c1| lam^2")
+
+    def test_coarse_quadrature_below_aliasing_passes(self, tmp_path):
+        # the default modes on 21 nodes: worst relative defect 0.363
+        out = tmp_path / "diag6"
+        assert main(["diagnose", "--output_dir", str(out),
+                     "--quadrature", "21"]) == EXIT_OK
+        rows = np.loadtxt(out / "spectral.csv", delimiter=",", skiprows=1)
+        lam, rho, resid = rows[:, 1], rows[:, 2], rows[:, 4]
+        defect = resid / (np.abs(rho * spectral.MODE_AMPLITUDE) * lam ** 2)
+        assert 0.36 < defect.max() < 0.37
 
     def test_underflowing_bound_names_its_distance(self, tmp_path, capsys):
         # the bound of modes 100..102 underflows to 0 at x = 0.5
