@@ -11,12 +11,12 @@ boundary data, and the diagnostics keep it visible rather than hiding it.
 
 import numpy as np
 
-from cauchy_observer.spectral import (EigenMode, FunctionPair, ModeSet,
-                                      default_mode_set, eigen_residual,
-                                      gram_matrix, observability_lower_bound,
-                                      sample_mode, semigroup_apply)
+from cauchy_observer.spectral import (DEFAULT_MODE_INDICES, FunctionPair,
+                                      ModeSet, eigen_residual, gram_matrix,
+                                      observability_lower_bound, sample_mode,
+                                      semigroup_apply)
 
-modes = default_mode_set()
+modes = ModeSet(DEFAULT_MODE_INDICES)
 print(f"mode set: n in {modes.indices[0]}..{modes.indices[-1]}, "
       f"{modes.quadrature} quadrature nodes")
 
@@ -36,7 +36,7 @@ for q in (101, 201, 401):
 q = modes.quadrature
 p1 = np.zeros(q); p2 = np.zeros(q); d1 = np.zeros(q)
 for n in modes.indices:
-    m = sample_mode(EigenMode(n), q)
+    m = sample_mode(n, q)
     p1 += m.p1; p2 += m.p2; d1 += m.dp1
 f = FunctionPair(p1, p2, d1)
 ident = semigroup_apply(f, 0.0, modes)
@@ -46,7 +46,7 @@ rhs = semigroup_apply(f, 0.3, modes)
 print(f"composition defect (0.1 then 0.2 vs 0.3): "
       f"{np.abs(lhs.p1 - rhs.p1).max():.2e}")
 
-single = sample_mode(EigenMode(0), q)
+single = sample_mode(0, q)
 grown = semigroup_apply(single, 0.25, modes)
 print(f"single-mode growth factor at x=0.25: measured "
       f"{grown.p1[0] / single.p1[0]:.6f}, exact {np.exp(6 * 0.25):.6f}")

@@ -11,8 +11,8 @@ from .observer import (NonFiniteState, ObserverConfig, ObserverProblem,
 from .reference import (CauchyData, ReferenceSolution, TrigTerm, bottom_trace,
                         combo_example, dirichlet_example, evaluate,
                         make_cauchy_data, neumann_example, sample_state_field)
-from .spectral import (EigenMode, FunctionPair, ModeSet, default_mode_set,
-                       eigen_residual, gram_matrix, inner_product,
-                       observability_lower_bound, sample_mode, semigroup_apply)
+from .spectral import (FunctionPair, ModeSet, eigen_residual, gram_matrix,
+                       inner_product, observability_lower_bound, sample_mode,
+                       semigroup_apply)
 
 __version__ = "0.1.0"

@@ -10,12 +10,12 @@ endings) so that identical runs produce byte-identical artifacts, plus a
 gnuplot script that plots the bottom traces.  ``boundary.csv``'s float table
 is formatted in numpy by ``format_floats``, byte for byte what ``%.17g``
 writes, 1.5-1.8 times as fast as the %-format at 129 rows and 2.6-3.5 times
-at 1025 rows; a table mostly in exponential notation, and the small
-mixed-type tables, go through one %-format (``write_csv``).  Each output replaces any file
-of its name (see ``replace_file``): a regular file with one link is
-rewritten in place, and cut to its new length only when it was longer,
-about 20-50 us per file on ext4 mounted with ``discard`` against 130-280 us
-to unlink and re-create it; a symlink, a hard-linked file, a FIFO or a
+at 1025 rows; the small mixed-type tables go through one %-format
+(``write_csv``).  Each output replaces any file of its name (see
+``replace_file``): a regular file with one link is rewritten in place, and
+cut to its new length only when it was longer, about 20-50 us per file on
+ext4 mounted with ``discard`` against 130-280 us to unlink and re-create
+it; a symlink, a hard-linked file, a FIFO or a
 directory is unlinked and a new file created.  A rewritten file keeps its
 inode and its mode, a reader holding it open sees the rewrite, and a
 process killed between the write and the cut can leave the old file's
@@ -406,11 +406,9 @@ def _groups(digits: np.ndarray) -> np.ndarray:
     return groups
 
 
-def format_floats(table: np.ndarray) -> Optional[bytes]:
+def format_floats(table: np.ndarray) -> bytes:
     """The rows of a 2-D float64 table as CSV lines, each ending in LF,
-    byte for byte what ``%.17g`` writes; None when fewer than half the
-    fields have a fixed-notation ``%.17g`` (0 < |x| < 1e-4 or |x| >= 1e17,
-    inf, nan), for the %-format to write instead.
+    byte for byte what ``%.17g`` writes.
 
     The digits are computed exactly: the decimal exponent E from exact
     bounds, the 17 digits as ``round(|x| * 10**(16 - E))`` from Dekker's
@@ -423,10 +421,7 @@ def format_floats(table: np.ndarray) -> Optional[bytes]:
     v = table.ravel()
     a = np.fmin(np.abs(v), 1e17)        # inf and nan become 1e17
     j = _BOUNDS.searchsorted(a, "right")
-    slow = _SLOW[j]
-    nslow = np.count_nonzero(slow)
-    if 2 * nslow > v.size:
-        return None
+    at = np.flatnonzero(_SLOW[j])     # the fields in exponential notation
     groups = _groups(_digits(a, j))
     # the place of the last nonzero digit after d0, 0 if there is none
     last = _LAST[groups[1:]]
@@ -442,8 +437,7 @@ def format_floats(table: np.ndarray) -> Optional[bytes]:
     lines[:, :, 11] = _COMMA
     lines[:, -1, 11] = _NEWLINE
     text = words.view(np.uint8)
-    if nslow:
-        at = np.flatnonzero(slow)
+    if at.size:
         spliced = np.frombuffer(
             (("%-25.17g" * at.size) % tuple(v[at].tolist())).encode("ascii"),
             np.uint8).reshape(-1, 25)
@@ -456,9 +450,7 @@ def write_csv(path: Path, header: List[str], fields) -> None:
     """Write one CSV table, ``len(header)`` fields to a row.
 
     A 2-D float64 array is a table of floats, one array row to a CSV row,
-    written by ``format_floats``; when most of its fields are in %.17g's
-    exponential notation it takes the %-format route instead, as
-    ``ndarray.ravel().tolist()``.  Any other ``fields`` are given in
+    written by ``format_floats``.  Any other ``fields`` are given in
     row-major order and written with a single %-format: the line format is
     built from the first row's field types and repeated for every row.  A
     field whose type calls for another spec than its column's first field
@@ -472,11 +464,9 @@ def write_csv(path: Path, header: List[str], fields) -> None:
                 fields.dtype != np.float64):
             raise ValueError(f"{path.name}: a table needs {len(header)} "
                              f"float64 columns")
-        body = format_floats(fields)
-        if body is not None:
-            replace_file(path, (head + "\n").encode("ascii") + body)
-            return
-        fields = fields.ravel().tolist()
+        replace_file(path, (head + "\n").encode("ascii")
+                     + format_floats(fields))
+        return
     fields = tuple(fields)
     ncols = len(header)
     specs = [_spec(type(v)) for v in fields[:ncols]]
@@ -590,10 +580,11 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     resid = spectral.eigen_residual(modes)
     bounds = spectral.observability_lower_bound(modes, xs)
     gram_err = np.abs(G - np.eye(len(G))).max(axis=1)
-    mode_list = modes.modes()
-    rows = [v for m, err, res in zip(mode_list, gram_err.tolist(),
-                                     resid.tolist())
-            for v in (m.n, m.lam, m.rho, err, res)]
+    lam = spectral.mode_frequency(np.array(modes.indices, dtype=float))
+    rho = 1.0 / (math.sqrt(2.0) * lam)
+    rows = [v for row in zip(modes.indices, lam.tolist(), rho.tolist(),
+                             gram_err.tolist(), resid.tolist())
+            for v in row]
     write_csv(out / "spectral.csv",
               ["n", "lambda", "rho", "gram_err", "eigen_residual"], rows)
     write_csv(out / "observability.csv", ["x", "lower_bound"],
@@ -612,7 +603,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     # |c1 lam| / sqrt(2), and the exact discrete defect 1 - sinc^2(lam h / 2)
     # of that scale passes 0.5 only below about 2.3 nodes per wavelength,
     # where the family aliases
-    limit = np.abs([m.lam for m in mode_list]) * (
+    limit = np.abs(lam) * (
         abs(spectral.MODE_AMPLITUDE) / (2.0 * math.sqrt(2.0)))
     worst = int((resid / limit).argmax())
     if not resid[worst] <= limit[worst]:

@@ -14,10 +14,17 @@ state (j steps later, at most ||(F - K C)^j||_2 times that).  No gain whose
 spectral radius is one or more gets one, and the observer refuses a gain
 without it.
 
-Beyond dimension ~14 (ny ~ 7 on the standard domain) no float64 gain vector
-can realize an accurate placement at all: rounding the exact gain perturbs
-the closed-loop eigenvalues at order one.  The post-check turns that into an
-explicit PlacementFailed instead of returning garbage.
+At dimension 18 (nx = 65, ny = 9 on the standard domain) the post-check
+refuses both pole layouts, for different reasons.  For the uniform layout,
+rounding the exact gain to float64 moves the closed-loop poles at order one
+(by 0.295, against 80-digit eigenvalues).  For the ring layout it does not:
+the rounded gain's true mismatch is 7.8e-5, though float64 ``eigvals`` reads
+1.65e-3, and both are above the tolerance of 1.55e-6.  A placement there
+would not make the grid usable: what binds is forward Euler's bias, and a
+march forced through with the ring gain (post-check and certificate
+bypassed, a 360-step warm-up) reaches a bottom error of 4.0e4.  The
+post-check turns a missed placement into an explicit PlacementFailed instead
+of returning garbage.
 """
 
 import math
@@ -47,12 +54,9 @@ class PoleSpec:
             raise ValueError("poles must be finite")
         if np.abs(p).max() >= 1.0:
             raise ValueError("all poles must have modulus < 1")
-        cplx = [z for z in p.tolist() if abs(z.imag) > 1e-14]
-        key = lambda z: (round(z.real, 9), round(z.imag, 9))
-        upper = sorted([z for z in cplx if z.imag > 0], key=key)
-        lower = sorted([z.conjugate() for z in cplx if z.imag < 0], key=key)
-        if len(upper) != len(lower) or any(
-                abs(u - l) > 1e-12 for u, l in zip(upper, lower)):
+        upper = _spectrum_order(p[p.imag > 1e-14])
+        lower = _spectrum_order(p[p.imag < -1e-14].conj())
+        if len(upper) != len(lower) or (np.abs(upper - lower) > 1e-12).any():
             raise ValueError("complex poles must come in conjugate pairs")
         object.__setattr__(self, "poles", p)
 
@@ -151,23 +155,23 @@ def _frobenius(P: np.ndarray) -> float:
 
 
 def _real_poly_from_poles(poles: np.ndarray, dtype) -> np.ndarray:
-    """Monic polynomial coefficients (highest first) from a conjugate-closed set."""
-    coeffs = np.array([dtype(1.0)])
+    """Monic polynomial coefficients (highest first) from a conjugate-closed
+    set: the product of the linear factors z - r of the real poles, in
+    ascending order, then of the quadratic factors z**2 - 2 Re(p) z + |p|**2
+    of the poles p above the real axis, in their order.  Each factor's
+    coefficients after its lead are rounded to float64 before ``dtype``."""
     poles = poles.tolist()
-    reals = sorted(p.real for p in poles if abs(p.imag) <= 1e-14)
-    pairs = [p for p in poles if p.imag > 1e-14]
-    for r in reals:
-        nxt = np.zeros(len(coeffs) + 1, dtype=dtype)
-        nxt[:-1] += coeffs
-        nxt[1:] -= dtype(r) * coeffs
-        coeffs = nxt
-    for p in pairs:
-        b1 = dtype(-2.0 * p.real)
-        b0 = dtype(p.real * p.real + p.imag * p.imag)
-        nxt = np.zeros(len(coeffs) + 2, dtype=dtype)
-        nxt[:-2] += coeffs
-        nxt[1:-1] += b1 * coeffs
-        nxt[2:] += b0 * coeffs
+    factors = [(dtype(-r),) for r in sorted(
+        p.real for p in poles if abs(p.imag) <= 1e-14)]
+    factors += [(dtype(-2.0 * p.real),
+                 dtype(p.real * p.real + p.imag * p.imag))
+                for p in poles if p.imag > 1e-14]
+    coeffs = np.array([dtype(1.0)])
+    for factor in factors:
+        nxt = np.zeros(len(coeffs) + len(factor), dtype=dtype)
+        nxt[:len(coeffs)] += coeffs
+        for shift, c in enumerate(factor, 1):
+            nxt[shift:shift + len(coeffs)] += c * coeffs
         coeffs = nxt
     return coeffs
 
@@ -192,12 +196,18 @@ def _solve_extended(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return M[:, -1]
 
 
+def _spectrum_order(z: np.ndarray) -> np.ndarray:
+    """``z`` sorted by real part, then by imaginary part, each rounded by
+    Python's ``round(., 9)``; stable, so ties keep their order."""
+    re = [round(v, 9) for v in z.real.tolist()]
+    im = [round(v, 9) for v in z.imag.tolist()]
+    return z[np.lexsort((im, re))]
+
+
 def _match_spectra(achieved: np.ndarray, requested: np.ndarray) -> float:
     """Max pairing distance between two spectra under sorted matching."""
-    key = lambda z: (round(z.real, 9), round(z.imag, 9))
-    a = np.array(sorted(achieved.tolist(), key=key))
-    r = np.array(sorted(requested.tolist(), key=key))
-    return float(np.abs(a - r).max())
+    return float(np.abs(_spectrum_order(achieved)
+                        - _spectrum_order(requested)).max())
 
 
 def ackermann_gain(F: np.ndarray, C_row: np.ndarray, spec: PoleSpec,

@@ -51,7 +51,7 @@ diagnostics.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,20 +65,6 @@ DEFAULT_QUADRATURE = 2001
 def mode_frequency(n: int) -> float:
     """Frequency (also the propagation rate) of mode n; never zero."""
     return 6.0 - 8.0 * n
-
-
-@dataclass(frozen=True)
-class EigenMode:
-    """Mode n of the family: its rate lam and its normalization rho."""
-
-    n: int
-    lam: float = field(init=False)
-    rho: float = field(init=False)
-
-    def __post_init__(self):
-        lam = mode_frequency(self.n)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "rho", 1.0 / (np.sqrt(2.0) * lam))
 
 
 def _whole(value, rule: str) -> int:
@@ -118,13 +104,6 @@ class ModeSet:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "quadrature", q)
 
-    def modes(self):
-        return [EigenMode(i) for i in self.indices]
-
-
-def default_mode_set(quadrature: int = DEFAULT_QUADRATURE) -> ModeSet:
-    return ModeSet(DEFAULT_MODE_INDICES, quadrature)
-
 
 @dataclass(frozen=True)
 class FunctionPair:
@@ -156,51 +135,6 @@ class FunctionPair:
         return len(self.p1)
 
 
-def quadrature_nodes(quadrature: int) -> np.ndarray:
-    return np.linspace(0.0, ANALYSIS_LENGTH, quadrature)
-
-
-def _walk(indices, s: np.ndarray):
-    """Yield ``(n, e^{i lam_n s})`` for every n of ``indices``, n = 0 first,
-    then the positive n upward, then the negative n downward.
-
-    e^{i lam_n s} = e^{6is} (e^{-8is})^n, so four trig arrays (cos and sin of
-    6s and 8s) serve any number of modes: the walk starts from e^{6is} at
-    n = 0 and steps outward one unit-modulus factor e^{-+8is} at a time,
-    past the n it does not keep.  Every n is reached by the same products
-    whatever else is walked, so its samples depend only on n and the nodes.
-    The yielded array is the walk's own: read it before asking for the next.
-    """
-    wanted = set(indices)
-    w = np.empty(len(s), dtype=complex)
-    w.real = np.cos(6.0 * s)
-    w.imag = np.sin(6.0 * s)
-    if 0 in wanted:
-        yield 0, w
-    back = np.empty_like(w)         # e^{8is}: the step from n to n - 1
-    back.real = np.cos(8.0 * s)
-    back.imag = np.sin(8.0 * s)
-    for step, sign in ((np.conj(back), 1), (back, -1)):
-        walked = w.copy()
-        for k in range(1, max(sign * n for n in wanted) + 1):
-            walked *= step
-            if sign * k in wanted:
-                yield sign * k, walked
-
-
-def sample_mode(mode: EigenMode, quadrature: int) -> FunctionPair:
-    """Sample a mode on the quadrature nodes, with analytic derivative.
-
-    The samples walk ``_walk``'s path to ``mode.n`` (|n| complex products
-    after four trig arrays), so they are bit-identical to the mode's rows in
-    ``_sample_rows``; the memo is left alone."""
-    (_, w), = _walk((mode.n,), quadrature_nodes(quadrature))
-    p1 = mode.rho * MODE_AMPLITUDE * w.real
-    p2 = mode.lam * p1
-    dp1 = -mode.rho * MODE_AMPLITUDE * mode.lam * w.imag
-    return FunctionPair(p1=p1, p2=p2, dp1=dp1)
-
-
 @functools.lru_cache(maxsize=1)
 def _sample_rows(modes: ModeSet):
     """Sample the whole mode set on its quadrature nodes, memoized for the
@@ -208,12 +142,18 @@ def _sample_rows(modes: ModeSet):
 
     Returns ``lam`` (one rate per mode), the ``p1`` rows (modes x nodes) and
     the analytic ``dp1`` rows, all read-only because every later call on an
-    equal set gets the same arrays.  Each row is the real or imaginary part
-    of ``_walk``'s e^{i lam_n s}, scaled straight into its output row, so
-    it is bit-identical to ``sample_mode`` and no (modes x nodes) complex
-    array is made.  A row is within 5.0 eps of its maximum of the exact
-    samples on the modes -6..10 (module docstring).  The second components
-    are ``lam * p1`` and are never stored.
+    equal set gets the same arrays.  The rows are the real and imaginary
+    parts of e^{i lam_n s} = e^{6is} (e^{-8is})^n, so four trig arrays (cos
+    and sin of 6s and 8s) serve any number of modes: the walk starts from
+    e^{6is} at n = 0 and steps outward one unit-modulus factor e^{-+8is} at
+    a time, the positive n upward, then the negative n downward, past the n
+    the set does not keep.  Every n is reached by the same products
+    whatever else is walked, so its rows depend only on n and the node
+    count, and each walked e^{i lam_n s} is scaled straight into its output
+    rows: no (modes x nodes) complex array is made.  A row is within 5.0
+    eps of its maximum of the exact samples on the modes -6..10 (module
+    docstring).  The second components are ``lam * p1`` and are never
+    stored.
     """
     lam = mode_frequency(np.array(modes.indices, dtype=float))
     rho = 1.0 / (np.sqrt(2.0) * lam)
@@ -222,13 +162,39 @@ def _sample_rows(modes: ModeSet):
     row = {n: i for i, n in enumerate(modes.indices)}
     p1 = np.empty((len(lam), modes.quadrature))
     dp1 = np.empty_like(p1)
-    for n, w in _walk(modes.indices, quadrature_nodes(modes.quadrature)):
-        i = row[n]
-        np.multiply(w.real, scale[i], out=p1[i])
-        np.multiply(w.imag, dscale[i], out=dp1[i])
+
+    def keep(n, w):
+        if n in row:
+            np.multiply(w.real, scale[row[n]], out=p1[row[n]])
+            np.multiply(w.imag, dscale[row[n]], out=dp1[row[n]])
+
+    s = np.linspace(0.0, ANALYSIS_LENGTH, modes.quadrature)
+    w = np.empty(len(s), dtype=complex)
+    w.real = np.cos(6.0 * s)
+    w.imag = np.sin(6.0 * s)
+    keep(0, w)
+    back = np.empty_like(w)         # e^{8is}: the step from n to n - 1
+    back.real = np.cos(8.0 * s)
+    back.imag = np.sin(8.0 * s)
+    for step, sign in ((np.conj(back), 1), (back, -1)):
+        walked = w.copy()
+        for k in range(1, max(sign * n for n in row) + 1):
+            walked *= step
+            keep(sign * k, walked)
     for rows in (lam, p1, dp1):
         rows.flags.writeable = False
     return lam, p1, dp1
+
+
+def sample_mode(n: int, quadrature: int) -> FunctionPair:
+    """Mode n sampled on ``quadrature`` nodes, with analytic derivative.
+
+    The pair is row 0 of the sampler, uncached, on the one-mode set, so it
+    is bit-identical to mode n's rows of any sampled set, and the memo is
+    left alone.  Its ``p1`` and ``dp1`` are the sampler's read-only rows.
+    """
+    lam, p1, dp1 = _sample_rows.__wrapped__(ModeSet((n,), quadrature))
+    return FunctionPair(p1=p1[0], p2=lam[0] * p1[0], dp1=dp1[0])
 
 
 def _trapezoid_weights(nodes: int) -> np.ndarray:

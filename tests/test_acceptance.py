@@ -4,13 +4,17 @@ Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all).
 
 Three criteria pin the boundary-recovery runs to the grid nx=65, ny=9.  That
 grid lies outside the marching scheme's double-precision stability envelope:
-the per-step growth factor of the unstabilized operator reaches 4.1, every
-stabilizing injection gain at state dimension 18 has entries above ~1e5, and
-rounding such a gain to float64 perturbs the closed-loop spectrum at order
-one (verified against exact-rational gain computation and high-precision
-eigensolves during development).  No gain designs there at all: both pole
-layouts end in PlacementFailed, so nothing is marched; one step coarser in
-y (nx=65, ny=7) a gain designs and the march returns garbage.  Those criteria
+the per-step growth factor of the unstabilized operator reaches 4.1 and
+every stabilizing injection gain at state dimension 18 has entries above
+~1e5.  No gain designs there at all: both pole layouts end in
+PlacementFailed, so nothing is marched.  For the uniform layout, rounding
+the exact gain to float64 moves the closed-loop poles at order one (0.295,
+against exact-rational gains and 80-digit eigenvalues).  For the ring layout
+it does not: the rounded gain's true mismatch is 7.8e-5, against a
+tolerance of 1.55e-6.  What binds at this grid is forward Euler's bias: a
+march forced through with the ring gain, post-check and certificate
+bypassed, gives a bottom error of 4.0e4.  One step coarser in y (nx=65,
+ny=7) a gain designs and the march returns garbage (error 46).  Those criteria
 are kept as written and marked strict-xfail: the assertions are faithful,
 the expected failure is a measured property of the method at that grid, and
 an unexpected pass would itself fail the suite.  Green companion tests pin
@@ -27,10 +31,10 @@ import numpy as np
 import pytest
 
 import cauchy_observer as co
-from cauchy_observer.spectral import (EigenMode, FunctionPair, ModeSet,
-                                      default_mode_set, eigen_residual,
-                                      gram_matrix, observability_lower_bound,
-                                      sample_mode, semigroup_apply)
+from cauchy_observer.spectral import (DEFAULT_MODE_INDICES, FunctionPair,
+                                      ModeSet, eigen_residual, gram_matrix,
+                                      observability_lower_bound, sample_mode,
+                                      semigroup_apply)
 
 A, B = 2 * np.pi, 0.5
 PINNED_NX, PINNED_NY = 65, 9          # stated example-reproduction grid
@@ -194,10 +198,11 @@ def test_criterion_5_gain_certificate(ny, layout):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="at state dimension 18 no float64 "
-                   "gain vector places the spectrum to 1e-6: rounding the "
-                   "exact gain already moves the closed-loop eigenvalues at "
-                   "order one")
+                   reason="at state dimension 18 no gain passes the "
+                   "placement post-check: rounding the exact gain moves the "
+                   "uniform layout's poles by 0.295 and the ring's by 7.8e-5 "
+                   "(tolerance 1.55e-6); forward Euler's bias binds anyway, "
+                   "a forced march errs by 4.0e4")
 def test_criterion_5_gain_certificate_ny9():
     grid = co.build_grid(A, B, 65, 9)
     mats = co.assemble(grid)
@@ -273,11 +278,11 @@ def test_criterion_7_spectral_suite():
     res_f = eigen_residual(ModeSet((0,), 201))[0]
     order = np.log2(res_c / res_f)
 
-    ms = default_mode_set()
+    ms = ModeSet(DEFAULT_MODE_INDICES)
     q = ms.quadrature
     p1 = np.zeros(q); p2 = np.zeros(q); d1 = np.zeros(q)
     for n in ms.indices:
-        mode = sample_mode(EigenMode(n), q)
+        mode = sample_mode(n, q)
         p1 += mode.p1; p2 += mode.p2; d1 += mode.dp1
     f = FunctionPair(p1, p2, d1)
     ident = semigroup_apply(f, 0.0, ms)

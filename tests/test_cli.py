@@ -149,14 +149,11 @@ class TestFormatFloats:
 
     def assert_bytes(self, table):
         table = np.asarray(table, dtype=float)
-        got = format_floats(table)
-        assert got is not None, "the table should take the vectorised route"
-        assert got == percent_lines(table)
+        assert format_floats(table) == percent_lines(table)
 
     def test_random_doubles_over_every_binary_exponent(self):
-        # 1e6 doubles over all 2048 exponent fields, mostly slow, beside
-        # 1e6 over the exponents of fixed notation, so that just over half
-        # of each 50000-row table is fast
+        # 1e6 doubles over all 2048 exponent fields, mostly in exponential
+        # notation, beside 1e6 over the exponents of fixed notation
         rng = np.random.default_rng(20)
         for _ in range(20):
             self.assert_bytes(np.column_stack((
@@ -206,10 +203,10 @@ class TestFormatFloats:
         np.geomspace(1e-300, 1e-5, 30).reshape(10, 3),
         np.full((4, 3), np.nan),
         np.array([[1e17, -np.inf, 1.5], [1e-7, 2e200, -3.5]])])
-    def test_mostly_slow_table_takes_the_percent_route(self, tmp_path, table):
-        # fewer than half the fields in fixed notation: no vectorised bytes,
-        # and write_csv writes the %-format's
-        assert format_floats(table) is None
+    def test_mostly_exponential_table_is_spliced(self, tmp_path, table):
+        # fewer than half the fields in fixed notation, or none: the spliced
+        # %-format fields give the %-format's bytes, in the file too
+        self.assert_bytes(table)
         write_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
         assert (tmp_path / "t.csv").read_bytes() == (
             b"a,b,c\n" + percent_lines(table))

@@ -237,6 +237,35 @@ class TestRun:
                 run(problem, ObserverConfig(start_line=np.zeros(shape)))
 
 
+class TestTopNeumannData:
+    """g, the top Neumann data, enters the march as -2 g / dy.  The closed
+    form u = cos 2x e^{2(y - b)} / cosh 1 (b = 0.5) is harmonic, with
+    f = cos 2x / cosh 1 and g = 2 cos 2x / cosh 1 on y = b and the bottom
+    trace cos 2x e^{-1} / cosh 1.  Every reference family has g = 0."""
+
+    @staticmethod
+    def bottom_errors(nx, ny):
+        """Bottom errors of the ring gain's run with g and with -g."""
+        grid = build_grid(A, B, nx, ny)
+        mats = assemble(grid)
+        gain = ackermann_gain(mats.F, mats.C_row, ring_poles(2 * ny, 0.55))
+        f = np.cos(2.0 * grid.x) / math.cosh(1.0)
+        exact = f * math.exp(-1.0)
+        errors = []
+        for g in (2.0 * f, -2.0 * f):
+            problem = ObserverProblem(grid, CauchyData(f=f, g=g), mats, gain)
+            field, _ = run(problem)
+            errors.append(error_bottom(field, exact, grid.dx))
+        return errors
+
+    # errors 6.2e-2, 0.103 and 0.126; with -g, 6.2 to 6.4
+    @pytest.mark.parametrize("nx,ny", [(257, 5), (513, 3), (129, 5)])
+    def test_recovers_the_closed_form(self, nx, ny):
+        err, flipped = self.bottom_errors(nx, ny)
+        assert err < 0.15
+        assert flipped > 10.0 * err
+
+
 # the verified window: grids where the ring gain designs and settles within
 # a sweep, with the Fourier indices recovered there
 WINDOW = [(129, 5, 1)] + [(nx, ny, k) for nx, ny in ((257, 5), (385, 5),

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from cauchy_observer.spectral import (ANALYSIS_LENGTH, MODE_AMPLITUDE,
-                                      EigenMode, FunctionPair, ModeSet,
-                                      _sample_rows, default_mode_set,
-                                      eigen_residual, gram_matrix,
-                                      inner_product, observability_lower_bound,
-                                      sample_mode, semigroup_apply)
+from cauchy_observer.spectral import (ANALYSIS_LENGTH, DEFAULT_MODE_INDICES,
+                                      MODE_AMPLITUDE, FunctionPair, ModeSet,
+                                      _sample_rows, eigen_residual,
+                                      gram_matrix, inner_product,
+                                      mode_frequency,
+                                      observability_lower_bound, sample_mode,
+                                      semigroup_apply)
 
 
 def combination(indices, quadrature, weights=None):
@@ -15,7 +16,7 @@ def combination(indices, quadrature, weights=None):
     p1 = np.zeros(q); p2 = np.zeros(q); d1 = np.zeros(q)
     for i, n in enumerate(indices):
         w = 1.0 if weights is None else weights[i]
-        m = sample_mode(EigenMode(n), q)
+        m = sample_mode(n, q)
         p1 += w * m.p1
         p2 += w * m.p2
         d1 += w * m.dp1
@@ -25,47 +26,50 @@ def combination(indices, quadrature, weights=None):
 class TestModeFamily:
     def test_frequencies_never_vanish(self):
         for n in range(-50, 51):
-            assert EigenMode(n).lam == 6.0 - 8.0 * n != 0.0
+            assert mode_frequency(n) == 6.0 - 8.0 * n != 0.0
+        lam = mode_frequency(np.arange(-50.0, 51.0))
+        assert np.array_equal(lam, [6.0 - 8.0 * n for n in range(-50, 51)])
 
     def test_normalization_identity(self):
+        # rho_n = 1 / (sqrt(2) lam_n) makes every sampled pair a unit vector
         for n in (-3, 0, 1, 7):
-            m = EigenMode(n)
-            assert m.rho * m.lam == pytest.approx(1 / np.sqrt(2), rel=1e-15)
+            m = sample_mode(n, 2001)
+            assert inner_product(m, m) == pytest.approx(1.0, abs=1e-12)
 
     # the first and last quadrature nodes are s = 0 and s = pi/4
     def test_value_at_origin_mode0(self):
-        m = sample_mode(EigenMode(0), 101)
+        m = sample_mode(0, 101)
         assert m.p1[0] == pytest.approx(-0.18806319451591876, rel=1e-13)
         assert m.p2[0] == pytest.approx(-1.1283791670955126, rel=1e-13)
 
     def test_value_vanishes_at_far_end_mode0(self):
-        m = sample_mode(EigenMode(0), 101)
+        m = sample_mode(0, 101)
         assert abs(m.p1[-1]) < 1e-15 and abs(m.p2[-1]) < 1e-15
 
     def test_value_at_origin_mode1(self):
-        assert sample_mode(EigenMode(1), 101).p1[0] == pytest.approx(
+        assert sample_mode(1, 101).p1[0] == pytest.approx(
             0.5641895835477563, rel=1e-13)
 
 
 class TestInnerProduct:
     def test_self_pairing_is_one(self):
-        m = sample_mode(EigenMode(0), 2001)
+        m = sample_mode(0, 2001)
         assert inner_product(m, m) == pytest.approx(1.0, abs=1e-12)
 
     def test_cross_pairing_is_zero(self):
-        a = sample_mode(EigenMode(0), 2001)
-        b = sample_mode(EigenMode(1), 2001)
+        a = sample_mode(0, 2001)
+        b = sample_mode(1, 2001)
         assert abs(inner_product(a, b)) < 1e-12
 
     def test_zero_pair(self):
         z = FunctionPair(np.zeros(501), np.zeros(501), np.zeros(501))
-        q = sample_mode(EigenMode(2), 501)
+        q = sample_mode(2, 501)
         assert inner_product(z, q) == 0.0
 
     def test_mismatched_nodes_rejected(self):
         with pytest.raises(ValueError):
-            inner_product(sample_mode(EigenMode(0), 101),
-                          sample_mode(EigenMode(0), 201))
+            inner_product(sample_mode(0, 101),
+                          sample_mode(0, 201))
 
     def test_gram_identity(self):
         G = gram_matrix(ModeSet(tuple(range(-8, 9)), 2001))
@@ -74,7 +78,7 @@ class TestInnerProduct:
 
 class TestSemigroup:
     def test_identity_at_zero(self):
-        ms = default_mode_set()
+        ms = ModeSet(DEFAULT_MODE_INDICES)
         f = combination(ms.indices, ms.quadrature)
         out = semigroup_apply(f, 0.0, ms)
         assert np.abs(out.p1 - f.p1).max() < 1e-10
@@ -90,15 +94,15 @@ class TestSemigroup:
         assert np.abs(twice.p2 - once.p2).max() < 1e-10
 
     def test_single_mode_growth(self):
-        ms = default_mode_set(1001)
-        f = sample_mode(EigenMode(0), 1001)
+        ms = ModeSet(DEFAULT_MODE_INDICES, 1001)
+        f = sample_mode(0, 1001)
         x = 0.17
         out = semigroup_apply(f, x, ms)
         assert np.allclose(out.p1, np.exp(6.0 * x) * f.p1, rtol=1e-11, atol=1e-12)
         assert np.allclose(out.p2, np.exp(6.0 * x) * f.p2, rtol=1e-11, atol=1e-12)
 
     def test_composition(self):
-        ms = default_mode_set()
+        ms = ModeSet(DEFAULT_MODE_INDICES)
         f = combination(ms.indices, ms.quadrature)
         lhs = semigroup_apply(semigroup_apply(f, 0.1, ms), 0.2, ms)
         rhs = semigroup_apply(f, 0.3, ms)
@@ -108,17 +112,17 @@ class TestSemigroup:
     def test_negative_distance_rejected(self):
         ms = ModeSet((0,), 101)
         with pytest.raises(ValueError):
-            semigroup_apply(sample_mode(EigenMode(0), 101), -0.1, ms)
+            semigroup_apply(sample_mode(0, 101), -0.1, ms)
 
 
 class TestObservation:
     # the observation is the first component at the data end s = 0: p1[0]
     def test_mode0(self):
-        f = sample_mode(EigenMode(0), 501)
+        f = sample_mode(0, 501)
         assert f.p1[0] == pytest.approx(-0.18806319451591876, rel=1e-13)
 
     def test_mode1(self):
-        f = sample_mode(EigenMode(1), 501)
+        f = sample_mode(1, 501)
         assert f.p1[0] == pytest.approx(0.5641895835477563, rel=1e-13)
 
     def test_zero(self):
@@ -159,8 +163,9 @@ class TestEigenResidual:
     def test_magnitude_mode0(self):
         res = eigen_residual(ModeSet((0,), 101))[0]
         h = ANALYSIS_LENGTH / 100
-        m = EigenMode(0)
-        bound = abs(m.lam) ** 3 * h * h * abs(MODE_AMPLITUDE * m.rho)
+        lam = mode_frequency(0)
+        rho = 1.0 / (np.sqrt(2.0) * lam)
+        bound = abs(lam) ** 3 * h * h * abs(MODE_AMPLITUDE * rho)
         assert 0.0 < res <= bound
 
     def test_second_order_refinement(self):
@@ -172,9 +177,8 @@ class TestEigenResidual:
     def test_first_row_exactly_zero(self):
         # the defect is entirely in the second row; scaling the first
         # component relation leaves no residue by construction
-        m = EigenMode(2)
-        pair = sample_mode(m, 301)
-        assert np.array_equal(pair.p2, m.lam * pair.p1)
+        pair = sample_mode(2, 301)
+        assert np.array_equal(pair.p2, mode_frequency(2) * pair.p1)
 
 
 class TestValidation:
@@ -240,25 +244,25 @@ reference_sets = pytest.mark.parametrize("ms", REFERENCE_SETS,
 
 
 def per_mode_gram(ms):
-    pairs = [sample_mode(m, ms.quadrature) for m in ms.modes()]
+    pairs = [sample_mode(n, ms.quadrature) for n in ms.indices]
     return np.array([[inner_product(a, b) for b in pairs] for a in pairs])
 
 
 def per_mode_propagate(f, x, ms):
     out = [np.zeros(f.nodes) for _ in range(3)]
-    for m in ms.modes():
-        basis = sample_mode(m, ms.quadrature)
-        c = np.exp(m.lam * x) * inner_product(f, basis)
+    for n in ms.indices:
+        basis = sample_mode(n, ms.quadrature)
+        c = np.exp(mode_frequency(n) * x) * inner_product(f, basis)
         for acc, comp in zip(out, (basis.p1, basis.p2, basis.dp1)):
             acc += c * comp
     return out
 
 
-def per_mode_eigen_residual(mode, quadrature):
-    pair = sample_mode(mode, quadrature)
+def per_mode_eigen_residual(n, quadrature):
+    pair = sample_mode(n, quadrature)
     h = ANALYSIS_LENGTH / (quadrature - 1)
     d2 = (pair.p1[2:] - 2.0 * pair.p1[1:-1] + pair.p1[:-2]) / (h * h)
-    return np.abs(-d2 - mode.lam * pair.p2[1:-1]).max()
+    return np.abs(-d2 - mode_frequency(n) * pair.p2[1:-1]).max()
 
 
 class TestAgainstPerModeReference:
@@ -279,7 +283,7 @@ class TestAgainstPerModeReference:
 
     @reference_sets
     def test_eigen_residual_bit_identical(self, ms):
-        want = [per_mode_eigen_residual(m, ms.quadrature) for m in ms.modes()]
+        want = [per_mode_eigen_residual(n, ms.quadrature) for n in ms.indices]
         assert np.array_equal(eigen_residual(ms), want)
 
     @reference_sets
@@ -288,7 +292,7 @@ class TestAgainstPerModeReference:
         bounds = observability_lower_bound(ms, xs)
         assert np.array_equal(
             bounds, [observability_lower_bound(ms, x) for x in xs])
-        lam = np.array([m.lam for m in ms.modes()])
+        lam = mode_frequency(np.array(ms.indices, dtype=float))
         closed = np.exp(2.0 * np.multiply.outer(xs, lam)).sum(axis=1)
         assert np.abs(bounds / closed - 1.0).max() <= 1e-12
 
@@ -337,7 +341,7 @@ class TestSamplingMemo:
         gram = gram_matrix(ms)
         gram_matrix(ms)[:] = 0.0
         eigen_residual(ms)[:] = 0.0
-        semigroup_apply(sample_mode(EigenMode(1), 101), 0.1, ms).p1[:] = 0.0
+        semigroup_apply(sample_mode(1, 101), 0.1, ms).p1[:] = 0.0
         assert np.array_equal(gram_matrix(ms), gram)
 
     def test_a_second_set_evicts_the_first(self):
@@ -354,12 +358,12 @@ class TestSamplingMemo:
 
     def test_sample_mode_leaves_the_memo_alone(self):
         # a per-mode loop between calls on a family cannot evict it
-        ms = default_mode_set(1001)
+        ms = ModeSet(DEFAULT_MODE_INDICES, 1001)
         _sample_rows.cache_clear()
         gram_matrix(ms)
-        for m in ms.modes():
-            sample_mode(m, ms.quadrature)
-        semigroup_apply(sample_mode(EigenMode(0), 1001), 0.1, ms)
+        for n in ms.indices:
+            sample_mode(n, ms.quadrature)
+        semigroup_apply(sample_mode(0, 1001), 0.1, ms)
         assert _sample_rows.cache_info()[:2] == (1, 1)
 
 
@@ -400,7 +404,7 @@ class TestModeWalk:
         _sample_rows.cache_clear()
         _, p1, dp1 = _sample_rows(ModeSet(indices, q))
         for i, n in enumerate(indices):
-            pair = sample_mode(EigenMode(n), q)
+            pair = sample_mode(n, q)
             assert np.array_equal(p1[i], pair.p1)
             assert np.array_equal(dp1[i], pair.dp1)
 
