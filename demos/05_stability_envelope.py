@@ -4,15 +4,18 @@ Where the marching scheme lives and where it dies
 
 Marching an elliptic problem in one space variable is explosively unstable:
 the raw per-step growth factor is 1 + dx * sigma_max with sigma_max = 2/dy.
-The injection gain makes the closed loop a contraction, but in double
-precision that only helps while the gain itself stays representable:
+The injection gain makes the closed loop a contraction.  Its entries are
+large inside the envelope as well as outside it: the table's max|K| is
+3.5e5 at 129x5 and 2.6e7 at 257x5, and grows with the grid.  What the
+stiffness dx * sigma_max decides is the march's own accuracy:
 
-  * dx * sigma_max < 1  (roughly):  small gains, accurate placement, the
-    converged sweep reproduces the hidden boundary to a percent or two;
-  * dx * sigma_max >> 1:  every stabilizing gain has entries beyond ~1e5,
-    rounding it to float64 moves the closed-loop spectrum at order one, and
-    the march, still a stable linear map of the data, returns garbage
-    (a 4599% bottom error at nx=65, ny=7).
+  * dx * sigma_max < 1  (roughly):  the placement is accurate and the
+    converged sweep reproduces the hidden boundary to a few percent
+    (1.8% at 257x5, 4.9% at 129x5);
+  * dx * sigma_max > 1:  the ring gain still places its poles (its float64
+    rounding misses them by 7.8e-5 even at 65x9), but forward Euler's bias
+    binds, and the march, still a stable linear map of the data, returns
+    garbage (a 70% bottom error at 65x5, 4599% at 65x7).
 
 This script sweeps grid resolutions to expose that envelope.  Note the
 ny=9 cells: no gain designs there at all in double precision, and the

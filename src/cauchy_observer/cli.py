@@ -7,11 +7,11 @@ on the command line with ``--key value`` or ``--key=value`` (``--config=FILE``
 works too), and ``-h`` or ``--help`` prints the usage line.  Outputs are CSV
 files with fixed formatting (17 significant digits, comma separator, LF line
 endings) so that identical runs produce byte-identical artifacts, plus a
-gnuplot script that plots the bottom traces.  ``boundary.csv``'s float table
-is formatted in numpy by ``format_floats``, byte for byte what ``%.17g``
-writes, 1.5-1.8 times as fast as the %-format at 129 rows and 2.6-3.5 times
-at 1025 rows; the small mixed-type tables go through one %-format
-(``write_csv``).  Each output replaces any file of its name (see
+gnuplot script that plots the bottom traces.  Every table is a 2-D float64
+array, formatted by ``format_floats`` byte for byte as ``%.17g`` writes
+it: the small tables by one %-format, ``boundary.csv`` in numpy, 1.5-1.8
+times as fast as the %-format at 129 rows and 2.6-3.5 times at 1025 rows
+(warm).  Each output replaces any file of its name (see
 ``replace_file``): a regular file with one link is rewritten in place, and
 cut to its new length only when it was longer, about 20-50 us per file on
 ext4 mounted with ``discard`` against 130-280 us to unlink and re-create
@@ -47,7 +47,7 @@ from .discrete_ops import assemble
 from .gain import (ObservabilityDeficient, PlacementFailed, PoleSpec,
                    ackermann_gain, ring_poles, uniform_poles)
 from .grid import build_grid
-from .observer import (NonFiniteState, ObserverProblem, discrete_l2, run,
+from .observer import (NonFiniteState, ObserverProblem, error_bottom, run,
                        top_residual)
 from .reference import (ReferenceSolution, TrigTerm, bottom_trace,
                         combo_example, dirichlet_example, make_cauchy_data,
@@ -85,10 +85,6 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 class ConfigError(Exception):
     pass
-
-
-class OutputError(Exception):
-    """An output file could not be written; the message names it."""
 
 
 class Failed(Exception):
@@ -205,16 +201,6 @@ def _reference_for(cfg: RunConfig) -> ReferenceSolution:
     raise ConfigError(f"unknown example {cfg.example!r}")
 
 
-def _spec(kind) -> str:
-    """Printf spec for one CSV field: integers as integers, text verbatim,
-    anything else as a float to 17 significant digits (round-trip exact)."""
-    if issubclass(kind, (int, np.integer)):
-        return "%d"
-    if issubclass(kind, str):
-        return "%s"
-    return "%.17g"
-
-
 _REWRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW | os.O_NONBLOCK
 
 
@@ -239,7 +225,7 @@ def replace_file(path: Path, data: bytes) -> None:
     mode, and a process killed between the write and the cut leaves the
     old file's tail after the new bytes.  An OSError from the write, the
     cut, the unlink (other than a missing file) or the create, such as a
-    directory at ``path`` or a full disk, is raised as OutputError."""
+    directory at ``path`` or a full disk, is raised as Failed."""
     try:
         if not _rewrite_in_place(path, data):
             with contextlib.suppress(FileNotFoundError):
@@ -247,8 +233,7 @@ def replace_file(path: Path, data: bytes) -> None:
             with open(path, "xb") as fh:
                 fh.write(data)
     except OSError as exc:
-        raise OutputError(
-            f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise Failed(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _rewrite_in_place(path: Path, data: bytes) -> bool:
@@ -274,15 +259,6 @@ def _rewrite_in_place(path: Path, data: bytes) -> bool:
         os.close(fd)
 
 
-def _at_least_pow10(e: int) -> float:
-    """The least double that is >= 10**e."""
-    d = float(10 ** e) if e >= 0 else 1.0 / 10 ** -e
-    num, den = d.as_integer_ratio()
-    if e < 0 and num * 10 ** -e < den:
-        d = math.nextafter(d, math.inf)
-    return d
-
-
 # format_floats: %.17g in numpy.  A field's bucket
 # j = _BOUNDS.searchsorted(|x|, "right") is exact: 0 for ±0, 1 for
 # 0 < |x| < 1e-4, 2..22 for the decimal exponent E = floor(log10 |x|) =
@@ -291,8 +267,8 @@ def _at_least_pow10(e: int) -> float:
 # exponential notation: the %-format writes them.  Rounding to 17 digits
 # never carries a double into the next decade: below 10**m the nearest
 # double is 2**-53 (relative) away for m >= 0, and 0.1 to 0.0001 are stored
-# above their values.
-_BOUNDS = np.array([5e-324] + [_at_least_pow10(e) for e in range(-4, 18)])
+# above their values, so each bound 1e{E} is the least double >= 10**E.
+_BOUNDS = np.array([5e-324] + [float(f"1e{e}") for e in range(-4, 18)])
 _BUCKETS = len(_BOUNDS) + 1
 _SLOW = np.zeros(_BUCKETS, bool)
 _SLOW[[1, -1]] = True
@@ -406,19 +382,34 @@ def _groups(digits: np.ndarray) -> np.ndarray:
     return groups
 
 
+# Tables of fewer fields than this take one %-format.  The numpy route's
+# ufunc calls cost a fixed 75-120 us, the %-format about 0.9 us a field:
+# warm, in-process, on a 2-vCPU Xeon VM, 33x3 took 109 us in numpy against
+# 90 us through %, 40x3 102 against 108, 65x3 136 against 177 and 129x3
+# 168 against 354; 15x5 (spectral.csv) took 122 against 57.  Every small
+# table (at most 15 modes x 5 = 75 fields) is below it, every boundary.csv
+# (at least 129 x 3 = 387 fields) above.
+_PERCENT_FIELDS = 128
+
+
 def format_floats(table: np.ndarray) -> bytes:
     """The rows of a 2-D float64 table as CSV lines, each ending in LF,
     byte for byte what ``%.17g`` writes.
 
-    The digits are computed exactly: the decimal exponent E from exact
-    bounds, the 17 digits as ``round(|x| * 10**(16 - E))`` from Dekker's
-    TwoProduct.  Four-digit groups are looked up in a table and laid out
-    in a 48-byte row per field; one mask per exponent and digit count, plus
-    the sign, picks the bytes written, and one masked select joins them.
-    A field in exponential notation is formatted by one ``%-25.17g`` of all
-    such fields and spliced into its row."""
+    A table of fewer than ``_PERCENT_FIELDS`` fields is one ``%.17g``
+    %-format.  A larger one is formatted in numpy.  There the digits are
+    computed exactly: the decimal exponent E from exact bounds, the 17
+    digits as ``round(|x| * 10**(16 - E))`` from Dekker's TwoProduct.
+    Four-digit groups are looked up in a table and laid out in a 48-byte
+    row per field; one mask per exponent and digit count, plus the sign,
+    picks the bytes written, and one masked select joins them.  A field in
+    exponential notation is formatted by one ``%-25.17g`` of all such
+    fields and spliced into its row."""
     rows, ncols = table.shape
     v = table.ravel()
+    if v.size < _PERCENT_FIELDS:
+        line = ",".join(["%.17g"] * ncols) + "\n"
+        return ((line * rows) % tuple(v.tolist())).encode("ascii")
     a = np.fmin(np.abs(v), 1e17)        # inf and nan become 1e17
     j = _BOUNDS.searchsorted(a, "right")
     at = np.flatnonzero(_SLOW[j])     # the fields in exponential notation
@@ -446,39 +437,18 @@ def format_floats(table: np.ndarray) -> bytes:
     return text[keep].tobytes()
 
 
-def write_csv(path: Path, header: List[str], fields) -> None:
-    """Write one CSV table, ``len(header)`` fields to a row.
-
-    A 2-D float64 array is a table of floats, one array row to a CSV row,
-    written by ``format_floats``.  Any other ``fields`` are given in
-    row-major order and written with a single %-format: the line format is
-    built from the first row's field types and repeated for every row.  A
-    field whose type calls for another spec than its column's first field
-    raises ValueError, so no field is formatted with the wrong spec; the
-    columns are scanned for it only when the fields hold more than one
-    type.  Python floats format fastest, so callers pass Python numbers
-    rather than numpy scalars."""
-    head = ",".join(header)
-    if isinstance(fields, np.ndarray):
-        if fields.ndim != 2 or fields.shape[1] != len(header) or (
-                fields.dtype != np.float64):
-            raise ValueError(f"{path.name}: a table needs {len(header)} "
-                             f"float64 columns")
-        replace_file(path, (head + "\n").encode("ascii")
-                     + format_floats(fields))
-        return
-    fields = tuple(fields)
-    ncols = len(header)
-    specs = [_spec(type(v)) for v in fields[:ncols]]
-    if len(set(map(type, fields))) > 1:     # one type fits every column
-        for col, spec in enumerate(specs):
-            if any(_spec(kind) != spec
-                   for kind in set(map(type, fields[col::ncols]))):
-                raise ValueError(f"{path.name}: column {header[col]!r} "
-                                 f"mixes field types")
-    line = "\n" + ",".join(specs)
-    text = (line * (len(fields) // ncols)) % fields
-    replace_file(path, (head + text + "\n").encode("ascii"))
+def write_csv(path: Path, header: List[str], table: np.ndarray) -> None:
+    """Write the header line, then the rows of ``table``, a 2-D float64
+    array of ``len(header)`` columns, through ``format_floats``.  Integer
+    columns are floats here: ``%.17g`` prints a whole float as ``%d``
+    prints its integer.  Any other ``table`` raises ValueError and writes
+    nothing."""
+    if not (isinstance(table, np.ndarray) and table.ndim == 2
+            and table.shape[1] == len(header) and table.dtype == np.float64):
+        raise ValueError(f"{path.name}: a table needs {len(header)} "
+                         f"float64 columns")
+    replace_file(path, (",".join(header) + "\n").encode("ascii")
+                 + format_floats(table))
 
 
 _PLOT_SCRIPT = """\
@@ -534,11 +504,10 @@ def cmd_solve(cfg: RunConfig) -> int:
     gain = ackermann_gain(mats.F, mats.C_row, spec)
 
     reals = spec.poles.real
-    write_csv(out / "gain.csv",
-              ["method", "pole_min", "pole_max", "spectral_radius",
-               "obs_matrix_condition"],
-              ["ackermann", float(reals.min()), float(reals.max()),
-               gain.spectral_radius, gain.obs_condition])
+    row = np.array([[reals.min(), reals.max(), gain.spectral_radius,
+                     gain.obs_condition]])
+    replace_file(out / "gain.csv", b"method,pole_min,pole_max,spectral_radius,"
+                 b"obs_matrix_condition\nackermann," + format_floats(row))
 
     problem = ObserverProblem(grid=grid, cauchy=cauchy, mats=mats, gain=gain)
     try:
@@ -550,16 +519,12 @@ def cmd_solve(cfg: RunConfig) -> int:
     write_csv(out / "boundary.csv",
               ["x", "exact_bottom", "estimated_bottom"],
               np.column_stack((grid.x, exact, field[:, 0])))
-    # error_bottom's score, with the exact trace's norm taken once
-    exact_norm = discrete_l2(exact, grid.dx)
-    error = discrete_l2(field[:, 0] - exact, grid.dx)
-    if exact_norm == 0.0:
+    if not exact.any():
         print("bottom_error in history.csv is the absolute error: the exact "
               "bottom trace is zero", file=sys.stderr)
-    else:
-        error /= exact_norm
     write_csv(out / "history.csv", ["sweep", "top_residual", "bottom_error"],
-              [1, top_residual(field, cauchy.f, grid.dx), error])
+              np.array([[1.0, top_residual(field, cauchy.f, grid.dx),
+                         error_bottom(field, exact, grid.dx)]]))
     replace_file(out / "plot.gp", _PLOT_SCRIPT.encode("ascii"))
     print(f"one sweep after a {report.warmup_steps}-step warm-up; "
           f"periodicity defect {report.periodicity_defect:.1e}; "
@@ -580,15 +545,14 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     resid = spectral.eigen_residual(modes)
     bounds = spectral.observability_lower_bound(modes, xs)
     gram_err = np.abs(G - np.eye(len(G))).max(axis=1)
-    lam = spectral.mode_frequency(np.array(modes.indices, dtype=float))
+    n = np.array(modes.indices, dtype=float)
+    lam = spectral.mode_frequency(n)
     rho = 1.0 / (math.sqrt(2.0) * lam)
-    rows = [v for row in zip(modes.indices, lam.tolist(), rho.tolist(),
-                             gram_err.tolist(), resid.tolist())
-            for v in row]
     write_csv(out / "spectral.csv",
-              ["n", "lambda", "rho", "gram_err", "eigen_residual"], rows)
+              ["n", "lambda", "rho", "gram_err", "eigen_residual"],
+              np.column_stack((n, lam, rho, gram_err, resid)))
     write_csv(out / "observability.csv", ["x", "lower_bound"],
-              [v for row in zip(xs, bounds.tolist()) for v in row])
+              np.column_stack((xs, bounds)))
     print(f"diagnostics written to {os.path.realpath(out)}")
 
     worst, tol = int(gram_err.argmax()), 1e-6
@@ -620,8 +584,7 @@ FAILURES = {ConfigError: (EXIT_USAGE, "configuration error: "),
             ObservabilityDeficient: (EXIT_RUNTIME, "gain design failed: "),
             PlacementFailed: (EXIT_RUNTIME, "gain design failed: "),
             NonFiniteState: (EXIT_RUNTIME, "solver overflowed: "),
-            Failed: (EXIT_RUNTIME, ""),
-            OutputError: (EXIT_RUNTIME, "")}
+            Failed: (EXIT_RUNTIME, "")}
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -86,13 +86,15 @@ def ring_poles(n: int, radius: float = 0.55) -> PoleSpec:
 @dataclass(frozen=True)
 class GainVector:
     """The injection gain column k plus its certificate: the achieved
-    closed-loop spectral radius, cond(O) of the observability matrix O and
-    the settling step count (see settle_steps(); None: none certified)."""
+    closed-loop spectral radius, cond(O) of the observability matrix O, the
+    settling step count (see settle_steps(); None: none certified) and the
+    closed-loop matrix F - K C it certifies."""
 
     k: np.ndarray
     spectral_radius: float
     obs_condition: float
     settle_steps: Optional[int] = None
+    closed_loop: Optional[np.ndarray] = None
 
 
 def observability_matrix(F: np.ndarray, C_row: np.ndarray,
@@ -269,4 +271,5 @@ def ackermann_gain(F: np.ndarray, C_row: np.ndarray, spec: PoleSpec,
             f"(tolerance {tol:.3e}); the placement is not representable "
             f"at this dimension in double precision")
     return GainVector(k=k, spectral_radius=float(np.abs(achieved).max()),
-                      obs_condition=cond, settle_steps=settle_steps(M))
+                      obs_condition=cond, settle_steps=settle_steps(M),
+                      closed_loop=M)

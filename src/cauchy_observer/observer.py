@@ -66,7 +66,11 @@ class NonFiniteState(Exception):
 
 @dataclass(frozen=True)
 class ObserverProblem:
-    """The grid, its top Cauchy data, its matrices and the gain of one run."""
+    """The grid, its top Cauchy data, its matrices and the gain of one run.
+
+    A certified gain must have been designed on these matrices: its
+    settling certificate holds for its own closed loop only, so that loop
+    must equal F - K C of ``mats`` bit for bit."""
 
     grid: RectGrid
     cauchy: CauchyData
@@ -81,6 +85,11 @@ class ObserverProblem:
             raise ValueError("matrices assembled for a different grid")
         if len(self.gain.k) != 2 * self.grid.ny:
             raise ValueError("gain length must be twice the y node count")
+        gain, mats = self.gain, self.mats
+        if gain.settle_steps is not None and not (gain.closed_loop == (
+                mats.F - gain.k[:, None] * mats.C_row)).all():
+            raise ValueError("gain designed on other matrices: its certified "
+                             "closed loop is not F - K C of these")
 
 
 @dataclass
@@ -118,16 +127,16 @@ def _trapezoid_weights(nx: int, dx: float) -> np.ndarray:
 def discrete_l2(values: np.ndarray, dx: float) -> float:
     """Trapezoid-weighted discrete L2 norm over the x nodes.
 
-    Values above 1 are scaled by 2**-e, with 2**e just above their peak,
-    before they are squared: exact, and the squares of values near the
-    float range do not overflow.  With a peak below 1, e is 0 and the
-    values are squared as they are (the skipped scaling is an exact x1.0).
+    The values are scaled by 2**-e, with 2**e just above their peak, before
+    they are squared, and the norm by 2**e after: exact, and the largest
+    squares neither overflow nor underflow at either end of the float
+    range.  ``np.ldexp`` scales without forming 2**-e, which is past the
+    float range for a subnormal peak.
     """
     values = np.asarray(values)
     w = _trapezoid_weights(len(values), dx)
-    e = max(0, math.frexp(np.abs(values).max(initial=0.0))[1])
-    if e:
-        values = values * 2.0 ** -e
+    e = math.frexp(np.abs(values).max(initial=0.0))[1]
+    values = np.ldexp(values, -e)
     return math.ldexp(float(np.sqrt((w * values ** 2).sum())), e)
 
 

@@ -13,9 +13,9 @@ from cauchy_observer import (ObserverProblem, TrigTerm, ackermann_gain,
                              dirichlet_example, make_cauchy_data,
                              neumann_example, ring_poles, run, spectral,
                              top_residual)
-from cauchy_observer.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, USAGE,
-                                 ConfigError, RunConfig, format_floats, main,
-                                 parse_config, write_csv)
+from cauchy_observer.cli import (_PERCENT_FIELDS, EXIT_OK, EXIT_RUNTIME,
+                                 EXIT_USAGE, USAGE, ConfigError, RunConfig,
+                                 format_floats, main, parse_config, write_csv)
 from cauchy_observer.observer import error_bottom
 
 BASE_CONFIG = """\
@@ -83,45 +83,50 @@ class TestConfigParsing:
 
 def per_value_format(value) -> str:
     """Reference CSV field formatting, one value at a time."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
+    if isinstance(value, int):
+        return str(value)
     return format(float(value), ".17g")
 
 
 class TestWriteCsv:
     def test_bytes_match_per_value_formatting(self, tmp_path):
-        # every column keeps one spec: integers (bool and numpy ones too),
-        # floats (numpy ones, signed zero, inf, nan, subnormals), text
+        # integer columns are whole floats, which %.17g prints as %d prints
+        # the integer; floats keep signed zero, inf, nan and subnormals.
+        # The whole table takes format_floats' numpy route, its first five
+        # rows the %-format
         x = np.linspace(-1.0, 1.0, 7)
-        rows = [[1, np.float64(0.1), -0.0, "", 1e-300],
-                [2, float("inf"), np.float64(-1.5e-7), "text", 5e-324],
-                [np.int64(3), 1.0 / 3.0, -float("inf"), "", float("nan")],
-                [True, np.float64(7), 2.0 ** 70, "a b", -0.0],
-                [2 ** 70, -1e308, 1e-320, "", 1.0]]
-        rows += [[i, *v, "", 0.5] for i, v in enumerate(
+        rows = [[1, 0.1, -0.0, -4, 1e-300],
+                [2, float("inf"), -1.5e-7, 0, 5e-324],
+                [3, 1.0 / 3.0, -float("inf"), 2 ** 53, float("nan")],
+                [0, 7.0, 2.0 ** 70, 10 ** 16, -0.0],
+                [-4, -1e308, 1e-320, 1 - 2 ** 53, 1.0]]
+        rows += [[i, *v, i * i, 0.5] for i, v in enumerate(
             np.random.default_rng(0).standard_normal((20, 2)).tolist(), 5)]
-        rows += [[i, a, b, "", c] for i, a, b, c
-                 in zip(range(25, 32), x, x ** 3, np.exp(x))]
+        rows += [[i, a, b, -i, c] for i, a, b, c
+                 in zip(range(25, 32), x.tolist(), (x ** 3).tolist(),
+                        np.exp(x).tolist())]
         header = ["a", "b", "c", "d", "e"]
-        write_csv(tmp_path / "t.csv", header, [v for row in rows for v in row])
-        want = "\n".join([",".join(header)] + [
-            ",".join(per_value_format(v) for v in row) for row in rows]) + "\n"
-        assert (tmp_path / "t.csv").read_bytes() == want.encode("ascii")
+        for part in (rows, rows[:5]):
+            write_csv(tmp_path / "t.csv", header, np.array(part, dtype=float))
+            want = "\n".join([",".join(header)] + [
+                ",".join(per_value_format(v) for v in row)
+                for row in part]) + "\n"
+            assert (tmp_path / "t.csv").read_bytes() == want.encode("ascii")
 
     def test_empty_table_is_header_only(self, tmp_path):
-        write_csv(tmp_path / "t.csv", ["a", "b"], [])
+        write_csv(tmp_path / "t.csv", ["a", "b"], np.empty((0, 2)))
         assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
 
     @pytest.mark.parametrize("first, odd", [
         (1.5, 2), (1, 2.5), ("text", 1.5), (1.5, "text"), (np.int64(1), 0.5)])
     def test_field_needing_another_spec_is_refused(self, tmp_path, first, odd):
-        # with one format for the whole table, a float in an integer column
-        # would print truncated; refuse it instead, and write nothing
+        # write_csv takes only a 2-D float64 array: fields in row-major
+        # order, or an array of mixed objects, are refused whole, and
+        # nothing is written
         fields = [first, 0.1, first, 0.2, odd, 0.3]
-        with pytest.raises(ValueError, match="column 'a' mixes field types"):
-            write_csv(tmp_path / "t.csv", ["a", "b"], fields)
+        for table in (fields, np.array(fields, dtype=object).reshape(3, 2)):
+            with pytest.raises(ValueError, match="needs 2 float64 columns"):
+                write_csv(tmp_path / "t.csv", ["a", "b"], table)
         assert not (tmp_path / "t.csv").exists()
 
 
@@ -220,6 +225,22 @@ class TestFormatFloats:
         write_csv(tmp_path / "e.csv", ["x", "y"], np.empty((0, 2)))
         assert (tmp_path / "e.csv").read_bytes() == b"x,y\n"
 
+    def test_numpy_route_on_the_small_tables_values(self):
+        # the values the tests above format in small tables, repeated to
+        # tables just below and at the numpy route's field count, so both
+        # routes format them; a %-format of the same rows is the reference
+        odd = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+               np.inf, -np.inf, np.nan, -np.nan, 1e300, -1e17, 9.9e-5,
+               1.00000762939453125]
+        odd += [np.nextafter(float(f"1e{m}"), 0.0)
+                for m in (-4, -3, -2, -1, 0, 1, 16, 17)]
+        for ncols in (1, 3):
+            for fields in (_PERCENT_FIELDS - 1, _PERCENT_FIELDS):
+                rows = -(-fields // ncols)
+                table = np.resize(np.array(odd), (rows, ncols))
+                self.assert_bytes(table)
+                self.assert_bytes(-table)
+
     @pytest.mark.parametrize("table", [
         np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2), np.float32)])
     def test_table_of_another_shape_is_refused(self, tmp_path, table):
@@ -299,6 +320,49 @@ class TestSolve:
             "bottom trace is zero\n")
         hist = (out / "history.csv").read_text().splitlines()
         assert hist == ["sweep,top_residual,bottom_error", "1,0,0"]
+
+    def test_tiny_data_score_the_relative_error(self, tmp_path, capsys):
+        # the squares of a 1e-170 trace underflowed, so the exact trace read
+        # as zero and the score was the absolute error.  Data scaled by a
+        # power of two (2**-565, about 8e-171) scale the run exactly, and
+        # its score is the scale-1 one bit for bit; 1e-170 rounds the data,
+        # which the gain amplifies (1e-100 and 1e-290 read 2.6e-8 and
+        # 2.7e-8 relative off the scale-1 score, 1e-170 9.2e-10)
+        errors = {}
+        for scale in ("1.0", repr(2.0 ** -565), "1e-170"):
+            out = tmp_path / scale
+            assert main(["solve", "--example", "combo", "--terms",
+                         f"{scale}*cos1", "--output_dir", str(out)]) == EXIT_OK
+            assert capsys.readouterr().err == ""
+            hist = (out / "history.csv").read_text().splitlines()
+            errors[scale] = float(hist[1].split(",")[2])
+        assert errors[repr(2.0 ** -565)] == errors["1.0"]
+        assert errors["1e-170"] == pytest.approx(errors["1.0"], rel=1e-7)
+
+    def test_empty_terms_token_is_skipped(self, tmp_path, capsys):
+        # a trailing "+" adds no term: the run is that of the one term
+        outs = [tmp_path / "plain", tmp_path / "trailing"]
+        for terms, out in zip(("1.0*cos1", "1.0*cos1+"), outs):
+            assert main(["solve", "--example", "combo", "--terms", terms,
+                         "--nx", "129", "--output_dir", str(out)]) == EXIT_OK
+            assert capsys.readouterr().err == ""
+        for name in ("gain.csv", "boundary.csv", "history.csv"):
+            assert (outs[0] / name).read_bytes() == (
+                outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--example", "combo", "--terms", "+"],
+         "combo example needs at least one term"),
+        (["--example", "bogus"], "unknown example 'bogus'"),
+        (["--example", "combo", "--terms", "nan*cos1"],
+         "bad term 'nan*cos1'; expected like 1.0*cos1"),
+    ], ids=["no_term", "unknown_example", "nan_coefficient"])
+    def test_bad_example_or_terms_message(self, tmp_path, capsys, argv,
+                                          message):
+        out = tmp_path / "out"
+        assert main(["solve", "--output_dir", str(out)] + argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"configuration error: {message}\n")
+        assert not out.exists()
 
     def test_stdout_notes_the_warmup(self, tmp_path, capsys):
         out = tmp_path / "run8"
@@ -779,6 +843,26 @@ class TestConfigFileErrors:
             assert capsys.readouterr() == (
                 "", f"configuration error: config file not found: {path}\n")
             assert not out.exists()
+
+    def test_line_without_equals_sign(self, tmp_path):
+        path = write_config(tmp_path, "nx = 65\n\nny 3  # no sign\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path, [])
+        assert str(info.value) == f"{path}:3: expected 'key = value'"
+
+    def test_null_byte_in_path_is_not_found(self, tmp_path):
+        path = str(tmp_path / "run\0.cfg")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path, [])
+        assert str(info.value) == f"config file not found: {path}"
+
+    def test_stat_error_is_named(self, tmp_path):
+        # a path component over 255 bytes: ENAMETOOLONG, not "not found"
+        path = str(tmp_path / ("x" * 256) / "run.cfg")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path, [])
+        assert str(info.value) == (
+            f"cannot read config file {path}: File name too long")
 
     @pytest.mark.parametrize("command", ["solve", "diagnose"])
     def test_undecodable_config_is_a_configuration_error(

@@ -82,6 +82,20 @@ class TestNorms:
             assert error_bottom(big * field, big * ref, grid.dx) == (
                 error_bottom(field, ref, grid.dx))
 
+    def test_norm_of_values_near_the_underflow(self):
+        # the squares of these values underflow; the norm scales exactly
+        grid = build_grid(A, B, 65, 3)
+        rng = np.random.default_rng(22)
+        ref = rng.uniform(0.5, 2.0, 65) * rng.choice([-1.0, 1.0], 65)
+        field = np.zeros((65, 6))
+        field[:, 0] = ref + 0.01
+        for power in (300, 600, 1000):
+            tiny = 2.0 ** -power
+            assert discrete_l2(tiny * ref, grid.dx) == tiny * discrete_l2(
+                ref, grid.dx)
+            assert error_bottom(tiny * field, tiny * ref, grid.dx) == (
+                error_bottom(field, ref, grid.dx))
+
     def test_length_mismatch_rejected(self):
         grid = build_grid(A, B, 9, 3)
         with pytest.raises(ValueError):
@@ -103,6 +117,20 @@ class TestRun:
         gain = ackermann_gain(mats.F, mats.C_row, ring_poles(10, 0.55))
         with pytest.raises(ValueError, match="assembled for a different grid"):
             ObserverProblem(grid, data, mats, gain)
+
+    @pytest.mark.parametrize("designed, used", [
+        ((257, 5), (129, 5)), ((129, 5), (257, 5)), ((2049, 3), (513, 3)),
+        ((385, 5), (257, 5))], ids=lambda g: "%dx%d" % g)
+    def test_gain_of_other_matrices_rejected(self, designed, used):
+        # the gain's certificate holds for the closed loop it was designed
+        # on.  Paired with another grid's matrices, and the grid and data
+        # those match, the march ran a loop of spectral radius 4.6-6.8 for
+        # the gain's W = 91-101 steps, to bottom errors of 1e84-1e100
+        grid, mats, own, _, data = standard_problem(*used, "ring")
+        other = standard_problem(*designed, "ring")[2]
+        with pytest.raises(ValueError, match="gain designed on other matrices"):
+            ObserverProblem(grid, data, mats, other)
+        assert ObserverProblem(grid, data, mats, own).gain is own
 
     def test_zero_data_zero_solution(self):
         grid, mats, gain, _, _ = standard_problem()
@@ -524,9 +552,9 @@ class TestDiscreteL2Bits:
         # the norm with its rescaling always applied
         w = np.full(len(values), dx)
         w[0] = w[-1] = 0.5 * dx
-        e = max(0, math.frexp(np.abs(values).max(initial=0.0))[1])
+        e = math.frexp(np.abs(values).max(initial=0.0))[1]
         return math.ldexp(
-            float(np.sqrt((w * (values * 2.0 ** -e) ** 2).sum())), e)
+            float(np.sqrt((w * (values / 2.0 ** e) ** 2).sum())), e)
 
     @pytest.mark.parametrize("peak", [0.75, 1.0, 3.5, 2.0 ** 600])
     def test_equals_the_rescaled_formula(self, peak):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cauchy_observer import (TrigTerm, bottom_trace, build_grid, combo_example,
-                             dirichlet_example, evaluate, make_cauchy_data,
-                             neumann_example, sample_state_field)
+from cauchy_observer import (CauchyData, TrigTerm, bottom_trace, build_grid,
+                             combo_example, dirichlet_example, evaluate,
+                             make_cauchy_data, neumann_example,
+                             sample_state_field)
 from cauchy_observer.reference import d_dx, d_dy
 
 A, B = 2 * np.pi, 0.5
@@ -131,6 +132,12 @@ def test_mismatched_grid_rejected():
     grid = build_grid(A, 0.7, 9, 5)
     with pytest.raises(ValueError):
         make_cauchy_data(neumann_example(A, B), grid)
+
+
+def test_cauchy_data_of_unequal_lengths_rejected():
+    with pytest.raises(ValueError) as info:
+        CauchyData(f=np.zeros(9), g=np.zeros(8))
+    assert str(info.value) == "f and g must have equal length"
 
 
 def test_term_validation():

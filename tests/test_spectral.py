@@ -231,6 +231,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="derivative samples"):
             FunctionPair(np.zeros(101), np.zeros(101), np.zeros(100))
 
+    def test_pair_components_must_be_1d(self):
+        with pytest.raises(ValueError) as info:
+            FunctionPair(np.zeros((2, 101)), np.zeros((2, 101)),
+                         np.zeros((2, 101)))
+        assert str(info.value) == (
+            "components must be 1-d arrays on identical nodes")
+
+    def test_propagating_a_pair_on_other_nodes_rejected(self):
+        f = sample_mode(1, 101)
+        with pytest.raises(ValueError) as info:
+            semigroup_apply(f, 0.1, ModeSet((0, 1), 201))
+        assert str(info.value) == (
+            "pair and mode set use different quadrature nodes")
+
 
 # Per-mode references built from sample_mode and inner_product: the
 # whole-array diagnostics must agree with them on every mode set below.
