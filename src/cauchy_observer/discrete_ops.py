@@ -1,4 +1,4 @@
-"""Marching operator assembly and the sweep's affine form.
+"""Marching operator assembly and the sweep's input rows.
 
 The second-order system is marched in x as a first-order recursion for the
 stacked state (u samples, du/dx samples) on one vertical grid line.  With
@@ -15,6 +15,10 @@ order from four nodes up, first order at three).  The march is therefore
 exactly linear in the state: the estimation error of two runs with shared
 data obeys  e_next = (F - K C) e,  and a full sweep contracts at
 rho(F - K C) ** (nx - 1), rho the spectral radius.
+
+``assemble`` builds F and C, and ``input_rows`` the rows U.  The closed
+loop M is formed once, by the gain design, which certifies it
+(``GainVector.closed_loop``); the observer marches that matrix.
 """
 
 from dataclasses import dataclass
@@ -68,19 +72,18 @@ def assemble(grid: RectGrid) -> SystemMatrices:
     return SystemMatrices(F=F, C_row=C, dx=grid.dx, dy=grid.dy, ny=ny)
 
 
-def sweep_form(mats: SystemMatrices, k: np.ndarray, f: np.ndarray,
-               g: np.ndarray):
-    """Affine form (M, U) of one sweep: state n+1 is M @ state n + U[n].
+def input_rows(mats: SystemMatrices, k: np.ndarray, f: np.ndarray,
+               g: np.ndarray) -> np.ndarray:
+    """The sweep's input rows: U[n] = K f[n] + dx * b(g[n]), one row per
+    step, so U has len(f) - 1 rows.
 
-    M = F - K C and U[n] = K f[n] + dx * b(g[n]), one row per step, so U has
-    len(f) - 1 rows.  The data term of b is -2 g / dy in the top du/dx row.
-    Data near the float range may overflow U; the march then names the
-    first state that is not finite.
+    The data term of b is -2 g / dy in the top du/dx row, the mirror
+    node's term of D's top row.  Data near the float range may overflow U;
+    the march then names the first state that is not finite.
     """
     k = np.asarray(k, dtype=float)
     f = np.asarray(f, dtype=float)
-    M = mats.F - np.outer(k, mats.C_row)
     with np.errstate(over="ignore", invalid="ignore"):
         U = np.outer(f[:-1], k)
         U[:, -1] -= 2.0 * mats.dx * np.asarray(g, dtype=float)[:-1] / mats.dy
-    return M, U
+    return U

@@ -87,14 +87,15 @@ def ring_poles(n: int, radius: float = 0.55) -> PoleSpec:
 class GainVector:
     """The injection gain column k plus its certificate: the achieved
     closed-loop spectral radius, cond(O) of the observability matrix O, the
-    settling step count (see settle_steps(); None: none certified) and the
-    closed-loop matrix F - K C it certifies."""
+    closed-loop matrix F - K C, which the observer marches, and that
+    matrix's settling step count (see settle_steps(); None: none
+    certified)."""
 
     k: np.ndarray
     spectral_radius: float
     obs_condition: float
+    closed_loop: np.ndarray
     settle_steps: Optional[int] = None
-    closed_loop: Optional[np.ndarray] = None
 
 
 def observability_matrix(F: np.ndarray, C_row: np.ndarray,
@@ -271,5 +272,5 @@ def ackermann_gain(F: np.ndarray, C_row: np.ndarray, spec: PoleSpec,
             f"(tolerance {tol:.3e}); the placement is not representable "
             f"at this dimension in double precision")
     return GainVector(k=k, spectral_radius=float(np.abs(achieved).max()),
-                      obs_condition=cond, settle_steps=settle_steps(M),
-                      closed_loop=M)
+                      obs_condition=cond, closed_loop=M,
+                      settle_steps=settle_steps(M))

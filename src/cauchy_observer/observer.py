@@ -6,9 +6,12 @@ recursion
 
     x_{n+1} = M @ x_n + U[n],   M = F - K C,   U[n] = K f[n] + dx b(g[n])
 
-built once per run by ``discrete_ops.sweep_form``.  The sweep map, start
-line to final line, is a strict contraction whenever the gain certificate
-holds, and its fixed point is the periodic solution: the answer the paper
+where M is the gain's certified closed loop ``GainVector.closed_loop``,
+formed once by the gain design, and the rows U are built once per run by
+``discrete_ops.input_rows``.  So the matrix marched is the one the
+settling certificate below was computed for.  The sweep map, start line to
+final line, is a strict contraction whenever the gain certificate holds,
+and its fixed point is the periodic solution: the answer the paper
 reaches by chaining sweeps with wrap-around.  ``run`` reaches it in one
 sweep.  A certified march is a stable linear map of the data, so its
 states scale with the data and cannot diverge; the one way it fails is
@@ -54,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .discrete_ops import SystemMatrices, sweep_form
+from .discrete_ops import SystemMatrices, input_rows
 from .gain import GainVector
 from .grid import RectGrid
 from .reference import CauchyData
@@ -68,9 +71,9 @@ class NonFiniteState(Exception):
 class ObserverProblem:
     """The grid, its top Cauchy data, its matrices and the gain of one run.
 
-    A certified gain must have been designed on these matrices: its
-    settling certificate holds for its own closed loop only, so that loop
-    must equal F - K C of ``mats`` bit for bit."""
+    The gain must have been designed on these matrices: ``run`` marches its
+    closed loop, and its settling certificate holds for that loop only, so
+    the loop must equal F - K C of ``mats`` bit for bit."""
 
     grid: RectGrid
     cauchy: CauchyData
@@ -86,10 +89,11 @@ class ObserverProblem:
         if len(self.gain.k) != 2 * self.grid.ny:
             raise ValueError("gain length must be twice the y node count")
         gain, mats = self.gain, self.mats
-        if gain.settle_steps is not None and not (gain.closed_loop == (
-                mats.F - gain.k[:, None] * mats.C_row)).all():
-            raise ValueError("gain designed on other matrices: its certified "
-                             "closed loop is not F - K C of these")
+        loop = mats.F - gain.k[:, None] * mats.C_row
+        if (np.shape(gain.closed_loop) != loop.shape
+                or not (gain.closed_loop == loop).all()):
+            raise ValueError("gain designed on other matrices: its closed "
+                             "loop is not F - K C of these")
 
 
 @dataclass
@@ -244,8 +248,9 @@ def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None):
             f"{problem.gain.spectral_radius:.6f})")
     grid = problem.grid
     ny, steps = grid.ny, grid.nx - 1
-    M, U = sweep_form(problem.mats, problem.gain.k, problem.cauchy.f,
-                      problem.cauchy.g)
+    M = problem.gain.closed_loop
+    U = input_rows(problem.mats, problem.gain.k, problem.cauchy.f,
+                   problem.cauchy.g)
     if config.start_line is None:
         # the warm-up: the last W data rows, wrapped around the periodic
         # data, then the sweep's rows

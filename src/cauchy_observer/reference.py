@@ -16,6 +16,7 @@ frequency times one profile matrix, so its cost grows with the distinct
 frequencies, not with the terms.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,9 +57,17 @@ class ReferenceSolution:
             raise ValueError("a reference solution needs at least one term")
 
 
+# the smallest normal double, 2**-1022
+_TINY = float(np.finfo(float).tiny)
+
+
 @dataclass(frozen=True)
 class CauchyData:
-    """Dirichlet trace f and Neumann trace g sampled along the top boundary."""
+    """Dirichlet trace f and Neumann trace g sampled along the top boundary.
+
+    The data must be finite, and zero or with a peak over f and g of at
+    least the smallest normal double: subnormal data carry fewer digits than
+    the march needs, and their states would fall below the normal range."""
 
     f: np.ndarray
     g: np.ndarray
@@ -66,8 +75,15 @@ class CauchyData:
     def __post_init__(self):
         if len(self.f) != len(self.g):
             raise ValueError("f and g must have equal length")
-        if not (np.isfinite(self.f).all() and np.isfinite(self.g).all()):
+        # a nan or inf anywhere is the peak of its trace
+        peak_f = float(np.abs(self.f).max(initial=0.0))
+        peak_g = float(np.abs(self.g).max(initial=0.0))
+        if not (math.isfinite(peak_f) and math.isfinite(peak_g)):
             raise ValueError("Cauchy data must be finite")
+        peak = max(peak_f, peak_g)
+        if 0.0 < peak < _TINY:
+            raise ValueError(f"Cauchy data peak {peak:.3g} is subnormal: below "
+                             f"the smallest normal double 2**-1022 = {_TINY:.3g}")
 
 
 def neumann_example(a: float, b: float) -> ReferenceSolution:
@@ -115,7 +131,8 @@ def evaluate(sol: ReferenceSolution, x, y):
 
 
 def d_dx(sol: ReferenceSolution, x, y):
-    """Exact x derivative, used to seed marching states."""
+    """Exact x derivative, summed term by term: the pointwise check of the
+    u_x half of ``sample_state_field``; the solver does not call it."""
     return _sum_terms(sol, x, y, "x")
 
 

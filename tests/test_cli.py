@@ -339,6 +339,25 @@ class TestSolve:
         assert errors[repr(2.0 ** -565)] == errors["1.0"]
         assert errors["1e-170"] == pytest.approx(errors["1.0"], rel=1e-7)
 
+    def test_subnormal_data_are_refused(self, tmp_path, capsys):
+        # the top trace of c*cos1 peaks at c / cosh 1.  Below 2**-1022 the
+        # march loses its digits (1e-315 would score 0.145, not 0.0178).
+        # 1e-308 is a normal coefficient, but its trace, 6.5e-309, is not
+        for scale, peak in (("1e-315", "6.48e-316"), ("1e-308", "6.48e-309")):
+            out = tmp_path / scale
+            assert main(["solve", "--example", "combo", "--terms",
+                         f"{scale}*cos1", "--output_dir", str(out)]) == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                f"configuration error: Cauchy data peak {peak} is subnormal: "
+                "below the smallest normal double 2**-1022 = 2.23e-308\n")
+            assert not out.exists()
+        out = tmp_path / "1e-300"
+        assert main(["solve", "--example", "combo", "--terms", "1e-300*cos1",
+                     "--output_dir", str(out)]) == EXIT_OK
+        hist = (out / "history.csv").read_text().splitlines()
+        assert float(hist[1].split(",")[2]) == pytest.approx(0.0177617,
+                                                             rel=1e-6)
+
     def test_empty_terms_token_is_skipped(self, tmp_path, capsys):
         # a trailing "+" adds no term: the run is that of the one term
         outs = [tmp_path / "plain", tmp_path / "trailing"]

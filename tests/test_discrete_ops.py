@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cauchy_observer import (assemble, build_grid, neumann_example,
-                             sample_state_field, sweep_form)
+from cauchy_observer import (assemble, build_grid, input_rows,
+                             neumann_example, sample_state_field)
 from cauchy_observer.reference import make_cauchy_data
 
 A, B = 2 * np.pi, 0.5
@@ -14,8 +14,10 @@ def second_difference_of(mats):
 
 
 def one_step(state, mats, k, f_meas, g_meas):
-    """One marching step through the sweep's affine form."""
-    M, U = sweep_form(mats, k, np.full(2, f_meas), np.full(2, g_meas))
+    """One marching step: the closed loop F - K C, restated here, and the
+    sweep's first input row."""
+    M = mats.F - np.outer(k, mats.C_row)
+    U = input_rows(mats, k, np.full(2, f_meas), np.full(2, g_meas))
     return M @ state + U[0]
 
 
@@ -107,8 +109,9 @@ def _defect_rate(nx, ny):
     sol = neumann_example(A, B)
     data = make_cauchy_data(sol, grid)
     field = sample_state_field(sol, grid)
-    M, U = sweep_form(mats, np.zeros(2 * grid.ny), data.f, data.g)
-    stepped = field[:-1] @ M.T + U
+    k = np.zeros(2 * grid.ny)
+    M = mats.F - np.outer(k, mats.C_row)
+    stepped = field[:-1] @ M.T + input_rows(mats, k, data.f, data.g)
     return np.abs(stepped - field[1:]).max() / grid.dx
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cauchy_observer import (ObservabilityDeficient, PlacementFailed, PoleSpec,
-                             ackermann_gain, assemble, build_grid,
-                             observability_matrix, ring_poles, settle_steps,
-                             uniform_poles)
+from cauchy_observer import (GainVector, ObservabilityDeficient,
+                             PlacementFailed, PoleSpec, ackermann_gain,
+                             assemble, build_grid, observability_matrix,
+                             ring_poles, settle_steps, uniform_poles)
 from cauchy_observer.gain import PLACEMENT_TOL_SCALE, _solve_extended
 
 A, B = 2 * np.pi, 0.5
@@ -136,6 +136,20 @@ class TestAckermann:
         gv = ackermann_gain(F, C, PoleSpec(np.array([0.0 + 0j, 0.0 + 0j])))
         assert np.allclose(gv.k, 0.0)
         assert gv.spectral_radius == pytest.approx(0.0)
+
+    def test_closed_loop_is_f_minus_kc(self):
+        # the loop the observer marches and the certificate is for
+        mats = assemble(build_grid(A, B, 257, 5))
+        gv = ackermann_gain(mats.F, mats.C_row, ring_poles(10, 0.55))
+        want = mats.F - np.outer(gv.k, mats.C_row)
+        assert gv.closed_loop.tobytes() == want.tobytes()
+        assert gv.settle_steps == settle_steps(want)
+
+    def test_closed_loop_is_required(self):
+        for extra in ({}, {"settle_steps": 3}):
+            with pytest.raises(TypeError, match="closed_loop"):
+                GainVector(k=np.zeros(2), spectral_radius=0.5,
+                           obs_condition=1.0, **extra)
 
     def test_assembled_ny5_uniform(self):
         g = build_grid(A, B, 65, 5)

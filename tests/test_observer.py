@@ -9,8 +9,8 @@ import pytest
 from cauchy_observer import (CauchyData, GainVector, NonFiniteState, ObserverConfig,
                              ObserverProblem, TrigTerm, ackermann_gain, assemble,
                              bottom_trace, build_grid, combo_example,
-                             error_bottom, make_cauchy_data, neumann_example,
-                             ring_poles, run, sweep_form, top_residual,
+                             error_bottom, input_rows, make_cauchy_data,
+                             neumann_example, ring_poles, run, top_residual,
                              uniform_poles)
 from cauchy_observer.observer import discrete_l2
 
@@ -132,6 +132,28 @@ class TestRun:
             ObserverProblem(grid, data, mats, other)
         assert ObserverProblem(grid, data, mats, own).gain is own
 
+    def test_uncertified_gain_of_other_matrices_rejected(self):
+        # the closed loop is checked for every gain, certified or not: run
+        # marches it
+        grid, mats, own, _, data = standard_problem(129, 5, "ring")
+        other = standard_problem(257, 5, "ring")[2]
+        stale = dataclasses.replace(own, closed_loop=mats.F)
+        for gain in (other, stale):
+            bare = dataclasses.replace(gain, settle_steps=None)
+            with pytest.raises(ValueError,
+                               match="gain designed on other matrices"):
+                ObserverProblem(grid, data, mats, bare)
+        bare = dataclasses.replace(own, settle_steps=None)
+        assert ObserverProblem(grid, data, mats, bare).gain is bare
+
+    def test_closed_loop_of_another_shape_rejected(self):
+        grid, mats, gain, _, data = standard_problem()
+        for loop in (gain.closed_loop[:-1], gain.closed_loop.ravel()):
+            bad = dataclasses.replace(gain, closed_loop=loop)
+            with pytest.raises(ValueError,
+                               match="gain designed on other matrices"):
+                ObserverProblem(grid, data, mats, bad)
+
     def test_zero_data_zero_solution(self):
         grid, mats, gain, _, _ = standard_problem()
         data = CauchyData(f=np.zeros(grid.nx), g=np.zeros(grid.nx))
@@ -204,7 +226,8 @@ class TestRun:
         grid, mats, gain, _, data = standard_problem()
         radius = float(np.abs(np.linalg.eigvals(mats.F)).max())
         unstable = GainVector(k=np.zeros(2 * grid.ny), spectral_radius=radius,
-                              obs_condition=gain.obs_condition)
+                              obs_condition=gain.obs_condition,
+                              closed_loop=mats.F)
         problem = ObserverProblem(grid, data, mats, unstable)
         with pytest.raises(ValueError, match="not certified stable"):
             run(problem, ObserverConfig())
@@ -442,8 +465,11 @@ def scaled_data(problem, factor):
 
 
 def affine_form(problem):
-    return sweep_form(problem.mats, problem.gain.k, problem.cauchy.f,
-                      problem.cauchy.g)
+    """(M, U) of a run: the closed loop F - K C, restated here rather than
+    read from the gain, and the input rows."""
+    mats, k = problem.mats, problem.gain.k
+    return (mats.F - np.outer(k, mats.C_row),
+            input_rows(mats, k, problem.cauchy.f, problem.cauchy.g))
 
 
 def sweep_inputs(problem):

@@ -140,6 +140,43 @@ def test_cauchy_data_of_unequal_lengths_rejected():
     assert str(info.value) == "f and g must have equal length"
 
 
+@pytest.mark.parametrize("scale, refused", [
+    (1e-315, True), (1e-308, True), (1e-300, False)])
+def test_subnormal_cauchy_data_refused(scale, refused):
+    # the top trace of scale*cos1 peaks at scale / cosh 1: 6.48e-309 for
+    # 1e-308, below the smallest normal double 2**-1022 = 2.23e-308
+    sol = combo_example([TrigTerm(1, scale, "cos")], A, B)
+    grid = build_grid(A, B, 129, 5)
+    if not refused:
+        data = make_cauchy_data(sol, grid)
+        assert np.abs(data.f).max() >= np.finfo(float).tiny
+        return
+    with pytest.raises(ValueError) as info:
+        make_cauchy_data(sol, grid)
+    peak = np.abs(evaluate(sol, grid.x, grid.b)).max()
+    assert str(info.value) == (
+        f"Cauchy data peak {peak:.3g} is subnormal: below the smallest "
+        "normal double 2**-1022 = 2.23e-308")
+
+
+def test_subnormal_neumann_data_refused_and_zero_data_accepted():
+    zero = np.zeros(9)
+    assert CauchyData(f=zero, g=zero).f is zero
+    tiny = np.full(9, np.finfo(float).tiny)
+    CauchyData(f=zero, g=tiny)
+    for f, g in ((zero, tiny / 2), (tiny / 4, -tiny / 2)):
+        with pytest.raises(ValueError, match="peak 1.11e-308 is subnormal"):
+            CauchyData(f=f, g=g)
+
+
+def test_non_finite_cauchy_data_refused():
+    for bad in (np.inf, -np.inf, np.nan):
+        for f, g in ((np.array([0.0, bad]), np.zeros(2)),
+                     (np.zeros(2), np.array([bad, 1.0]))):
+            with pytest.raises(ValueError, match="must be finite"):
+                CauchyData(f=f, g=g)
+
+
 def test_term_validation():
     with pytest.raises(ValueError):
         TrigTerm(0, 1.0, "cos")
