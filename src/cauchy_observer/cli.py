@@ -34,6 +34,7 @@ import contextlib
 import errno
 import math
 import os
+import re
 import stat
 import sys
 from dataclasses import dataclass, fields
@@ -172,9 +173,10 @@ def _flag_pairs(tokens: List[str]) -> List[Tuple[str, str]]:
 
 
 def _parse_terms(text: str) -> List[TrigTerm]:
-    """Parse "1.0*cos1+0.5*sin2" into trig terms."""
+    """Parse "1.0*cos1+0.5*sin2" into trig terms.  A "+" after "e" or "E"
+    is an exponent's sign ("1e+200*cos1"), not a term separator."""
     terms = []
-    for token in text.replace(" ", "").split("+"):
+    for token in re.split(r"(?<![eE])\+", text.replace(" ", "")):
         if not token:
             continue
         try:

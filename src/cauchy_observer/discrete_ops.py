@@ -1,24 +1,25 @@
-"""Marching operator assembly and the sweep's input rows.
+"""Marching operator assembly and the sweep's input columns.
 
 The second-order system is marched in x as a first-order recursion for the
 stacked state (u samples, du/dx samples) on one vertical grid line.  With
 output injection through the gain K every step is the same affine map
 
-    state_{n+1} = M @ state_n + U[n],   M = F - K C,   U[n] = K f[n] + dx b[n]
+    state_{n+1} = M @ state_n + B @ (f[n], g[n]),   M = F - K C,   B = [K | d]
 
 F = I + dx * A with A = [[0, I], [-D, 0]], D the second-difference matrix in
 y, and C selects the top u sample.  The top row of D folds the Neumann
 condition in through a mirror node above the boundary, whose data term,
--2 g[n] / dy in the top du/dx row, is b[n].  The bottom row, where no data
-exists, is closed by a one-sided stencil on interior values only (second
-order from four nodes up, first order at three).  The march is therefore
-exactly linear in the state: the estimation error of two runs with shared
-data obeys  e_next = (F - K C) e,  and a full sweep contracts at
-rho(F - K C) ** (nx - 1), rho the spectral radius.
+-2 dx g[n] / dy in the top du/dx row, is d g[n].  The bottom row, where no
+data exists, is closed by a one-sided stencil on interior values only
+(second order from four nodes up, first order at three).  The march is
+therefore exactly linear in the state: the estimation error of two runs
+with shared data obeys  e_next = (F - K C) e,  and a full sweep contracts
+at rho(F - K C) ** (nx - 1), rho the spectral radius.
 
-``assemble`` builds F and C, and ``input_rows`` the rows U.  The closed
-loop M is formed once, by the gain design, which certifies it
-(``GainVector.closed_loop``); the observer marches that matrix.
+``assemble`` builds F and C, and ``input_columns`` the columns B.  The
+closed loop M is formed once, by the gain design, which certifies it
+(``GainVector.closed_loop``); the observer marches [M | B] on the stacked
+vector (state, f[n], g[n]).
 """
 
 from dataclasses import dataclass
@@ -72,18 +73,14 @@ def assemble(grid: RectGrid) -> SystemMatrices:
     return SystemMatrices(F=F, C_row=C, dx=grid.dx, dy=grid.dy, ny=ny)
 
 
-def input_rows(mats: SystemMatrices, k: np.ndarray, f: np.ndarray,
-               g: np.ndarray) -> np.ndarray:
-    """The sweep's input rows: U[n] = K f[n] + dx * b(g[n]), one row per
-    step, so U has len(f) - 1 rows.
+def input_columns(mats: SystemMatrices, k: np.ndarray) -> np.ndarray:
+    """The input columns B = [K | d] of the step, shape (2*ny, 2): the
+    sweep's input at step n is B @ (f[n], g[n]) = K f[n] + dx b(g[n]).
 
-    The data term of b is -2 g / dy in the top du/dx row, the mirror
-    node's term of D's top row.  Data near the float range may overflow U;
-    the march then names the first state that is not finite.
+    d is the mirror node's data coefficient -2 dx / dy of D's top row, in
+    the top du/dx row, and zero elsewhere.
     """
-    k = np.asarray(k, dtype=float)
-    f = np.asarray(f, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        U = np.outer(f[:-1], k)
-        U[:, -1] -= 2.0 * mats.dx * np.asarray(g, dtype=float)[:-1] / mats.dy
-    return U
+    B = np.zeros((2 * mats.ny, 2))
+    B[:, 0] = k
+    B[-1, 1] = -2.0 * mats.dx / mats.dy
+    return B

@@ -4,23 +4,25 @@ A sweep marches the estimated state line by line from x = 0 to x = a,
 injecting the measured top trace at every step.  Every step is the affine
 recursion
 
-    x_{n+1} = M @ x_n + U[n],   M = F - K C,   U[n] = K f[n] + dx b(g[n])
+    x_{n+1} = A @ (x_n, f[n], g[n]),   A = [M | B],   M = F - K C,
 
 where M is the gain's certified closed loop ``GainVector.closed_loop``,
-formed once by the gain design, and the rows U are built once per run by
-``discrete_ops.input_rows``.  So the matrix marched is the one the
-settling certificate below was computed for.  The sweep map, start line to
-final line, is a strict contraction whenever the gain certificate holds,
-and its fixed point is the periodic solution: the answer the paper
-reaches by chaining sweeps with wrap-around.  ``run`` reaches it in one
-sweep.  A certified march is a stable linear map of the data, so its
-states scale with the data and cannot diverge; the one way it fails is
-overflow, which ``run`` reports as the first state that is not finite.
+formed once by the gain design, and B = [K | d] are the input columns of
+``discrete_ops.input_columns``: A applies M to the state and adds
+K f[n] + dx b(g[n]) in the same matrix product.  So the matrix marched is
+the one the settling certificate below was computed for.  The sweep map,
+start line to final line, is a strict contraction whenever the gain
+certificate holds, and its fixed point is the periodic solution: the
+answer the paper reaches by chaining sweeps with wrap-around.  ``run``
+reaches it in one sweep.  A certified march is a stable linear map of the
+data, so its states scale with the data and cannot diverge; the one way it
+fails is overflow, which ``run`` reports as the first state that is not
+finite.
 
 Warm start.  With N = nx - 1 steps per sweep, the periodic fixed point's
 start line is  x*_0 = c_W + M^W x*_(-W mod N)  for any W, where c_W is the
 state reached by marching the W data steps before node 0 of the periodic
-data, rows U[(N - W) mod N], ..., U[N - 1], from rest.  The gain's settling
+data, steps (N - W) mod N, ..., N - 1, from rest.  The gain's settling
 certificate W = ``GainVector.settle_steps`` has ||M^W||_2 <= 2**-52, so
 the second term is under one rounding unit of the field.  A run without a
 start line therefore leads its sweep in with those W warm-up steps
@@ -44,11 +46,13 @@ start line (after the warm-up, if any) and is exact.  Every later block
 marches from rest over the W inputs before its own states, so its state j
 drops M^(W+j) times one earlier state, at most ||M^j||_2 * 2**-52 of it:
 the term the warm-up already leaves in sweep state j.  All blocks advance
-together as one matrix product per step, so a sweep, warm-up included,
-costs W + L interpreter steps (L <= 31) instead of W + N.  Two runs with
-different start lines therefore agree bit for bit past the first block,
-where a plain march leaves them M^q times the difference of their start
-lines apart.  When W >= N there is one block: the plain per-step march.
+together as one matrix product per step, A times every block's (state,
+f, g) column, written in place into the next step's states, so a sweep,
+warm-up included, costs W + L interpreter steps (L <= 31) instead of
+W + N.  Two runs with different start lines therefore agree bit for bit
+past the first block, where a plain march leaves them M^q times the
+difference of their start lines apart.  When W >= N there is one block:
+the plain per-step march.
 """
 
 import math
@@ -57,7 +61,7 @@ from typing import Optional
 
 import numpy as np
 
-from .discrete_ops import SystemMatrices, input_rows
+from .discrete_ops import SystemMatrices, input_columns
 from .gain import GainVector
 from .grid import RectGrid
 from .reference import CauchyData
@@ -173,56 +177,59 @@ def error_bottom(field: np.ndarray, reference: np.ndarray, dx: float) -> float:
 _BLOCK = 16
 
 
-def _march(x0: np.ndarray, M: np.ndarray, V: np.ndarray, lead: int,
+def _march(x0: np.ndarray, A: np.ndarray, D: np.ndarray, lead: int,
            window: int) -> np.ndarray:
-    """States s_lead, ..., s_T of s_0 = x0, s_{t+1} = M @ s_t + V[t].
+    """States s_lead, ..., s_T of s_0 = x0, s_{t+1} = A @ (s_t, D[t]).
 
-    T = len(V).  The first ``lead`` rows of V are a warm-up and the rest one
-    sweep.  When ``window`` (a W with ||M^W||_2 <= 2**-52) is below the
-    sweep's step count, the states are cut into blocks that march W + L
-    steps in lockstep, one M @ (n, blocks) product per step.  Block 0
-    marches from s_0 and is exact; every later block marches from rest over
-    the W inputs before its own L states, so its state j drops M^(W + j)
-    times one earlier state.  Otherwise the one block is the plain march.
+    T = len(D), and D[t] = (f, g) is the data of step t.  The first
+    ``lead`` rows of D are a warm-up and the rest one sweep.  When
+    ``window`` (a W with ||M^W||_2 <= 2**-52, M = A's state columns) is
+    below the sweep's step count, the states are cut into blocks that march
+    W + L steps in lockstep, one A @ (n + 2, blocks) product per step.
+    Block 0 marches from s_0 and is exact; every later block marches from
+    rest over the W inputs before its own L states, so its state j drops
+    M^(W + j) times one earlier state.  Otherwise the one block is the
+    plain march.
 
     Raises NonFiniteState, naming the first warm-up or sweep step whose
     state is not finite.
     """
-    steps, n = V.shape
+    steps, n = len(D), len(A)
     span = per = steps              # one block of every step
     if window < steps - lead:
         states = steps - lead + 1
         per = -(-states // max(1, states // _BLOCK))
         span = min(window + per, steps)
     later = -(-(steps - span) // per)
-    # S[j, :, b] holds block b's input j, then its state j + 1.  Block 0
-    # reads V[:span]; later block b reads the span rows ending at
-    # T - (later - b) * per, gathered through one strided view of V.  A
-    # V.take(..., mode="wrap") gather gives the same bits, but its fresh
-    # copy made each call 11-47% slower on six window grids (2049x3 worst)
-    S = np.empty((span, n, later + 1))
-    S[:, :, 0] = V[:span]
-    row, col = V.strides
-    S[:, :, 1:] = np.ndarray((span, n, later), V.dtype, V,
-                             (steps - span - (later - 1) * per) * row,
-                             (row, col, per * row))
-    X = np.zeros((n, later + 1))
-    X[:, 0] = x0
+    # Z[j, :, b] holds block b's state j above its data of step j.  Block 0
+    # reads D[:span]; later block b reads the span rows ending at
+    # T - (later - b) * per, gathered through one strided view of D.  A
+    # D.take(..., mode="wrap") gather gives the same bits, but its fresh
+    # copy made each call 11-47% slower on six window grids (2049x3 worst).
+    # traj, kept as the field, is allocated before Z.  Allocated after it,
+    # two runs in five between sample_state_field calls at 2049x3 page-
+    # faulted Z's 880 KB afresh: about 200 minor faults and 0.6 ms a run
     traj = np.empty((steps + 1, n))
-    traj[0] = x0
-    # overflow is found once, below, over the kept states; M.dot on one
-    # block gives the bits of a per-step M.dot(x) + u
+    Z = np.empty((span + 1, n + 2, later + 1))
+    Z[0, :n] = 0.0
+    Z[0, :n, 0] = x0
+    Z[:span, n:, 0] = D[:span]
+    row, col = D.strides
+    Z[:span, n:, 1:] = np.ndarray((span, 2, later), D.dtype, D,
+                                  (steps - span - (later - 1) * per) * row,
+                                  (row, col, per * row))
+    # overflow is found once, below, over the kept states; A.dot on one
+    # block gives the bits of a per-step A.dot((x, f, g))
     with np.errstate(over="ignore", invalid="ignore"):
-        for Sj in S:
-            Sj += M.dot(X)
-            X = Sj
+        for z, out in zip(Z, Z[1:, :n]):
+            A.dot(z, out)
         # later blocks keep their last per states; block 0, exact, is
         # written last over any overlap with block 1
         traj[steps + 1 - later * per:].reshape(later, per, n)[...] = (
-            S[span - per:, :, 1:].transpose(2, 0, 1))
-        traj[1:span + 1] = S[:, :, 0]
-    if not np.isfinite(traj[1:]).all():
-        t = int(np.isfinite(traj[1:]).all(axis=1).argmin()) + 1
+            Z[span + 1 - per:, :n, 1:].transpose(2, 0, 1))
+        traj[:span + 1] = Z[:, :n, 0]
+    if not np.isfinite(traj).all():
+        t = int(np.isfinite(traj).all(axis=1).argmin())
         where = f"warm-up step {t}" if t <= lead else f"sweep step {t - lead}"
         raise NonFiniteState(f"state is not finite at {where}")
     return traj[lead:]
@@ -237,8 +244,8 @@ def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None):
     by the wrapped warm-up and is the periodic fixed point; with one, it is
     one application of the sweep map from that line (see the module
     docstring).  Raises ValueError for a gain without a settling
-    certificate and for a start line whose shape is not (2*ny,), and
-    NonFiniteState when a marched state overflows.
+    certificate and for a start line whose shape is not (2*ny,) or that is
+    not finite, and NonFiniteState when a marched state overflows.
     """
     config = config or ObserverConfig()
     window = problem.gain.settle_steps
@@ -246,22 +253,25 @@ def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None):
         raise ValueError(
             "gain is not certified stable (spectral radius "
             f"{problem.gain.spectral_radius:.6f})")
-    grid = problem.grid
+    grid, cauchy = problem.grid, problem.cauchy
     ny, steps = grid.ny, grid.nx - 1
-    M = problem.gain.closed_loop
-    U = input_rows(problem.mats, problem.gain.k, problem.cauchy.f,
-                   problem.cauchy.g)
+    A = np.concatenate((problem.gain.closed_loop,
+                        input_columns(problem.mats, problem.gain.k)), axis=1)
+    D = np.empty((steps, 2))
+    D[:, 0], D[:, 1] = cauchy.f[:-1], cauchy.g[:-1]
     if config.start_line is None:
-        # the warm-up: the last W data rows, wrapped around the periodic
-        # data, then the sweep's rows
+        # the warm-up: the last W data steps, wrapped around the periodic
+        # data, then the sweep's steps
         start, lead = np.zeros(2 * ny), window
-        V = U.take(np.arange(-lead, steps), axis=0, mode="wrap")
+        D = D.take(np.arange(-lead, steps), axis=0, mode="wrap")
     else:
-        start, lead, V = np.asarray(config.start_line, dtype=float), 0, U
+        start, lead = np.asarray(config.start_line, dtype=float), 0
         if start.shape != (2 * ny,):
             raise ValueError(f"start line must have shape (2*ny,) = "
                              f"({2 * ny},), not {start.shape}")
-    cur = _march(start, M, V, lead, window)
+        if not np.isfinite(start).all():
+            raise ValueError("start line must be finite")
+    cur = _march(start, A, D, lead, window)
     scale = np.abs(cur).max()
     defect = np.abs(cur[-1] - cur[0]).max()
     return cur, SweepReport(

@@ -369,6 +369,22 @@ class TestSolve:
             assert (outs[0] / name).read_bytes() == (
                 outs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize("terms, plain", [
+        ("1e+200*cos1", "1e200*cos1"), ("2.5E+3*cos1", "2500*cos1"),
+        ("1.0*cos1+1e+2*sin2", "1.0*cos1+100*sin2")])
+    def test_exponent_sign_is_not_a_term_separator(self, tmp_path, capsys,
+                                                   terms, plain):
+        # the "+" of an exponent split "1e+200*cos1" into "1e" and
+        # "200*cos1", refused as a bad term
+        outs = [tmp_path / "signed", tmp_path / "plain"]
+        for text, out in zip((terms, plain), outs):
+            assert main(["solve", "--example", "combo", "--terms", text,
+                         "--nx", "129", "--output_dir", str(out)]) == EXIT_OK
+            assert capsys.readouterr().err == ""
+        for name in ("gain.csv", "boundary.csv", "history.csv"):
+            assert (outs[0] / name).read_bytes() == (
+                outs[1] / name).read_bytes()
+
     @pytest.mark.parametrize("argv, message", [
         (["--example", "combo", "--terms", "+"],
          "combo example needs at least one term"),
@@ -509,19 +525,23 @@ class TestSolve:
             "solver overflowed: state is not finite at warm-up step 1\n")
 
     def test_large_data_are_not_refused(self, tmp_path):
-        # the march is linear in the data, so 50 or 1e200 times the data
-        # give the same relative error; no bound on the state's size
-        # refuses them
-        errors = []
-        for coeff in ("1.0", "50.0", "1e200"):
+        # no bound on the state's size refuses 50 or 1e200 times the data.
+        # The march is linear in the data: scaled by a power of two, 64 or
+        # 2**664 (7.654505172902098e+199), they score the scale-1 bits.
+        # Other scalings round the data, which moves the score by up to
+        # 2.7e-5 relative at 257x6
+        assert float("7.654505172902098e+199") == 2.0 ** 664
+        errors = {}
+        for coeff in ("1.0", "50.0", "1e200", "64.0",
+                      "7.654505172902098e+199"):
             out = tmp_path / coeff
             cfg = write_config(tmp_path, BASE_CONFIG.format(out=out)
                                + f"example = combo\nterms = {coeff}*cos1\n")
             assert main(["solve", "--config", cfg, "--ny", "6"]) == EXIT_OK
             history = (out / "history.csv").read_text().splitlines()
-            errors.append(float(history[1].split(",")[2]))
-        for err in errors[1:]:
-            assert abs(err - errors[0]) <= 1e-5 * errors[0]
+            errors[coeff] = history[1].split(",")[2]
+        assert errors["64.0"] == errors["1.0"]
+        assert errors["7.654505172902098e+199"] == errors["1.0"]
 
     def test_missing_config_file(self):
         assert main(["solve", "--config", "/nonexistent/x.cfg"]) == EXIT_USAGE

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cauchy_observer import (assemble, build_grid, input_rows,
+from cauchy_observer import (assemble, build_grid, input_columns,
                              neumann_example, sample_state_field)
 from cauchy_observer.reference import make_cauchy_data
 
@@ -15,10 +15,9 @@ def second_difference_of(mats):
 
 def one_step(state, mats, k, f_meas, g_meas):
     """One marching step: the closed loop F - K C, restated here, and the
-    sweep's first input row."""
+    input columns applied to the step's data."""
     M = mats.F - np.outer(k, mats.C_row)
-    U = input_rows(mats, k, np.full(2, f_meas), np.full(2, g_meas))
-    return M @ state + U[0]
+    return M @ state + input_columns(mats, k) @ (f_meas, g_meas)
 
 
 class TestAssemble:
@@ -57,6 +56,18 @@ class TestAssemble:
         rng = np.random.default_rng(0)
         state = rng.standard_normal(8)
         assert mats.C_row @ state == state[3]
+
+
+class TestInputColumns:
+    def test_gain_and_mirror_node_coefficient(self):
+        # B = [K | d]: d is -2 dx / dy in the top du/dx row, zero elsewhere
+        g = build_grid(1.0, 0.5, 9, 4)
+        mats = assemble(g)
+        k = np.arange(1.0, 9.0)
+        B = input_columns(mats, k)
+        d = np.zeros(8)
+        d[-1] = -2.0 * g.dx / g.dy
+        assert np.array_equal(B, np.column_stack((k, d)))
 
 
 class TestStepLine:
@@ -111,7 +122,8 @@ def _defect_rate(nx, ny):
     field = sample_state_field(sol, grid)
     k = np.zeros(2 * grid.ny)
     M = mats.F - np.outer(k, mats.C_row)
-    stepped = field[:-1] @ M.T + input_rows(mats, k, data.f, data.g)
+    inputs = np.stack((data.f, data.g), axis=1)[:-1] @ input_columns(mats, k).T
+    stepped = field[:-1] @ M.T + inputs
     return np.abs(stepped - field[1:]).max() / grid.dx
 
 
