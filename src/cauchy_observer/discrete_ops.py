@@ -18,8 +18,8 @@ at rho(F - K C) ** (nx - 1), rho the spectral radius.
 
 ``assemble`` builds F and C, and ``input_columns`` the columns B.  The
 closed loop M is formed once, by the gain design, which certifies it
-(``GainVector.closed_loop``); the observer marches [M | B] on the stacked
-vector (state, f[n], g[n]).
+(``GainVector.closed_loop``); the observer marches [B | M] on the stacked
+vector (f[n], g[n], state).
 """
 
 from dataclasses import dataclass

@@ -4,12 +4,12 @@ A sweep marches the estimated state line by line from x = 0 to x = a,
 injecting the measured top trace at every step.  Every step is the affine
 recursion
 
-    x_{n+1} = A @ (x_n, f[n], g[n]),   A = [M | B],   M = F - K C,
+    x_{n+1} = A @ (f[n], g[n], x_n),   A = [B | M],   M = F - K C,
 
 where M is the gain's certified closed loop ``GainVector.closed_loop``,
 formed once by the gain design, and B = [K | d] are the input columns of
-``discrete_ops.input_columns``: A applies M to the state and adds
-K f[n] + dx b(g[n]) in the same matrix product.  So the matrix marched is
+``discrete_ops.input_columns``: A forms K f[n] + dx b(g[n]) and adds M
+applied to the state in the same matrix product.  So the matrix marched is
 the one the settling certificate below was computed for.  The sweep map,
 start line to final line, is a strict contraction whenever the gain
 certificate holds, and its fixed point is the periodic solution: the
@@ -46,8 +46,8 @@ start line (after the warm-up, if any) and is exact.  Every later block
 marches from rest over the W inputs before its own states, so its state j
 drops M^(W+j) times one earlier state, at most ||M^j||_2 * 2**-52 of it:
 the term the warm-up already leaves in sweep state j.  All blocks advance
-together as one matrix product per step, A times every block's (state,
-f, g) column, written in place into the next step's states, so a sweep,
+together as one matrix product per step, A times every block's (f, g,
+state) column, written in place into the next step's states, so a sweep,
 warm-up included, costs W + L interpreter steps (L <= 31) instead of
 W + N.  Two runs with different start lines therefore agree bit for bit
 past the first block, where a plain march leaves them M^q times the
@@ -179,13 +179,13 @@ _BLOCK = 16
 
 def _march(x0: np.ndarray, A: np.ndarray, D: np.ndarray, lead: int,
            window: int) -> np.ndarray:
-    """States s_lead, ..., s_T of s_0 = x0, s_{t+1} = A @ (s_t, D[t]).
+    """States s_lead, ..., s_T of s_0 = x0, s_{t+1} = A @ (D[t], s_t).
 
     T = len(D), and D[t] = (f, g) is the data of step t.  The first
     ``lead`` rows of D are a warm-up and the rest one sweep.  When
     ``window`` (a W with ||M^W||_2 <= 2**-52, M = A's state columns) is
     below the sweep's step count, the states are cut into blocks that march
-    W + L steps in lockstep, one A @ (n + 2, blocks) product per step.
+    W + L steps in lockstep, one A @ (2 + n, blocks) product per step.
     Block 0 marches from s_0 and is exact; every later block marches from
     rest over the W inputs before its own L states, so its state j drops
     M^(W + j) times one earlier state.  Otherwise the one block is the
@@ -201,33 +201,32 @@ def _march(x0: np.ndarray, A: np.ndarray, D: np.ndarray, lead: int,
         per = -(-states // max(1, states // _BLOCK))
         span = min(window + per, steps)
     later = -(-(steps - span) // per)
-    # Z[j, :, b] holds block b's state j above its data of step j.  Block 0
+    # Z[j, :, b] holds block b's data of step j above its state j.  Block 0
     # reads D[:span]; later block b reads the span rows ending at
     # T - (later - b) * per, gathered through one strided view of D.  A
     # D.take(..., mode="wrap") gather gives the same bits, but its fresh
     # copy made each call 11-47% slower on six window grids (2049x3 worst).
-    # traj, kept as the field, is allocated before Z.  Allocated after it,
-    # two runs in five between sample_state_field calls at 2049x3 page-
-    # faulted Z's 880 KB afresh: about 200 minor faults and 0.6 ms a run
+    # traj is allocated first: allocated after Z, Z's pages were faulted in
+    # afresh on many runs
     traj = np.empty((steps + 1, n))
-    Z = np.empty((span + 1, n + 2, later + 1))
-    Z[0, :n] = 0.0
-    Z[0, :n, 0] = x0
-    Z[:span, n:, 0] = D[:span]
+    Z = np.empty((span + 1, 2 + n, later + 1))
+    Z[0, 2:] = 0.0
+    Z[0, 2:, 0] = x0
+    Z[:span, :2, 0] = D[:span]
     row, col = D.strides
-    Z[:span, n:, 1:] = np.ndarray((span, 2, later), D.dtype, D,
+    Z[:span, :2, 1:] = np.ndarray((span, 2, later), D.dtype, D,
                                   (steps - span - (later - 1) * per) * row,
                                   (row, col, per * row))
     # overflow is found once, below, over the kept states; A.dot on one
-    # block gives the bits of a per-step A.dot((x, f, g))
+    # block gives the bits of a per-step A.dot((f, g, x))
     with np.errstate(over="ignore", invalid="ignore"):
-        for z, out in zip(Z, Z[1:, :n]):
+        for z, out in zip(Z, Z[1:, 2:]):
             A.dot(z, out)
         # later blocks keep their last per states; block 0, exact, is
         # written last over any overlap with block 1
         traj[steps + 1 - later * per:].reshape(later, per, n)[...] = (
-            Z[span + 1 - per:, :n, 1:].transpose(2, 0, 1))
-        traj[:span + 1] = Z[:, :n, 0]
+            Z[span + 1 - per:, 2:, 1:].transpose(2, 0, 1))
+        traj[:span + 1] = Z[:, 2:, 0]
     if not np.isfinite(traj).all():
         t = int(np.isfinite(traj).all(axis=1).argmin())
         where = f"warm-up step {t}" if t <= lead else f"sweep step {t - lead}"
@@ -255,8 +254,10 @@ def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None):
             f"{problem.gain.spectral_radius:.6f})")
     grid, cauchy = problem.grid, problem.cauchy
     ny, steps = grid.ny, grid.nx - 1
-    A = np.concatenate((problem.gain.closed_loop,
-                        input_columns(problem.mats, problem.gain.k)), axis=1)
+    # the data columns first: in the order [M | B] the rounding moved
+    # error_bottom 1.9e-5 off a per-step march's at 257x6, at equal cost
+    A = np.concatenate((input_columns(problem.mats, problem.gain.k),
+                        problem.gain.closed_loop), axis=1)
     D = np.empty((steps, 2))
     D[:, 0], D[:, 1] = cauchy.f[:-1], cauchy.g[:-1]
     if config.start_line is None:
