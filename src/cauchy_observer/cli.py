@@ -37,7 +37,6 @@ import os
 import re
 import stat
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -62,9 +61,10 @@ USAGE = ("usage: cauchy-observer {solve,diagnose} [--config FILE] "
          "[--key value ...]")
 
 
-@dataclass
 class RunConfig:
-    """The keys of a config file, with their defaults."""
+    """The keys of a config file, each a class attribute holding its default
+    and annotated with its type; ``parse_config`` sets the values it reads
+    on the instance."""
 
     example: str = "neumann"            # neumann | dirichlet | combo
     terms: str = "1.0*cos1"             # read by combo: "1.0*cos1+0.5*sin1"
@@ -81,7 +81,7 @@ class RunConfig:
     output_dir: str = "."
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELD_TYPES = RunConfig.__annotations__
 
 
 class ConfigError(Exception):
@@ -95,7 +95,7 @@ class Failed(Exception):
 def parse_config(path: Optional[str], overrides: List[str]) -> RunConfig:
     """Read ``key = value`` lines, then apply --key value override pairs; a
     last ``--config FILE`` pair among them replaces ``path``.  Each value
-    is converted by its ``RunConfig`` field's type."""
+    is converted by its ``RunConfig`` key's annotated type."""
     pairs = _flag_pairs(overrides)
     path = dict(pairs).get("--config", path)
     cfg = RunConfig()

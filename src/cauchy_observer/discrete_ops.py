@@ -22,24 +22,20 @@ closed loop M is formed once, by the gain design, which certifies it
 vector (f[n], g[n], state).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import RectGrid
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class SystemMatrices:
+class SystemMatrices(Frozen):
     """The marching step F = I + dx*A and the top-trace selector row C of
     one grid, with the spacings the sweep's data term needs; immutable and
     shareable."""
 
-    F: np.ndarray
-    C_row: np.ndarray
-    dx: float
-    dy: float
-    ny: int
+    def __init__(self, F: np.ndarray, C_row: np.ndarray, dx: float,
+                 dy: float, ny: int):
+        self.__dict__.update(F=F, C_row=C_row, dx=dx, dy=dy, ny=ny)
 
 
 def _second_difference(ny: int, dy: float) -> np.ndarray:

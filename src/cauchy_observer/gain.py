@@ -28,10 +28,11 @@ of returning garbage.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .records import Frozen
 
 
 class ObservabilityDeficient(Exception):
@@ -42,14 +43,14 @@ class PlacementFailed(Exception):
     """Achieved closed-loop spectrum does not match the requested poles."""
 
 
-@dataclass(frozen=True)
-class PoleSpec:
-    """Requested closed-loop spectrum: conjugate-closed, inside the unit circle."""
+class PoleSpec(Frozen):
+    """Requested closed-loop spectrum: nonempty, conjugate-closed, inside
+    the unit circle."""
 
-    poles: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.poles, dtype=complex)
+    def __init__(self, poles: np.ndarray):
+        p = np.asarray(poles, dtype=complex)
+        if p.size == 0:
+            raise ValueError("a pole set needs at least one pole, got 0")
         if not np.isfinite(p).all():
             raise ValueError("poles must be finite")
         if np.abs(p).max() >= 1.0:
@@ -58,7 +59,7 @@ class PoleSpec:
         lower = _spectrum_order(p[p.imag < -1e-14].conj())
         if len(upper) != len(lower) or (np.abs(upper - lower) > 1e-12).any():
             raise ValueError("complex poles must come in conjugate pairs")
-        object.__setattr__(self, "poles", p)
+        self.__dict__["poles"] = p
 
     def __len__(self):
         return len(self.poles)
@@ -83,19 +84,20 @@ def ring_poles(n: int, radius: float = 0.55) -> PoleSpec:
     return PoleSpec(radius * np.exp(1j * angles))
 
 
-@dataclass(frozen=True)
-class GainVector:
+class GainVector(Frozen):
     """The injection gain column k plus its certificate: the achieved
     closed-loop spectral radius, cond(O) of the observability matrix O, the
     closed-loop matrix F - K C, which the observer marches, and that
     matrix's settling step count (see settle_steps(); None: none
     certified)."""
 
-    k: np.ndarray
-    spectral_radius: float
-    obs_condition: float
-    closed_loop: np.ndarray
-    settle_steps: Optional[int] = None
+    def __init__(self, k: np.ndarray, spectral_radius: float,
+                 obs_condition: float, closed_loop: np.ndarray,
+                 settle_steps: Optional[int] = None):
+        self.__dict__.update(k=k, spectral_radius=spectral_radius,
+                             obs_condition=obs_condition,
+                             closed_loop=closed_loop,
+                             settle_steps=settle_steps)
 
 
 def observability_matrix(F: np.ndarray, C_row: np.ndarray,

@@ -2,13 +2,13 @@
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .records import Value
 
-@dataclass(frozen=True)
-class RectGrid:
+
+class RectGrid(Value):
     """Node-centered uniform grid on [0, a] x [0, b].
 
     Row index 1 (the first y node) lies on the bottom boundary, row ny on the
@@ -17,12 +17,9 @@ class RectGrid:
     read-only.
     """
 
-    a: float
-    b: float
-    nx: int
-    ny: int
-    dx: float
-    dy: float
+    def __init__(self, a: float, b: float, nx: int, ny: int, dx: float,
+                 dy: float):
+        self.__dict__.update(a=a, b=b, nx=nx, ny=ny, dx=dx, dy=dy)
 
     @functools.cached_property
     def x(self) -> np.ndarray:

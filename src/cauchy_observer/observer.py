@@ -56,7 +56,6 @@ the plain per-step march.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -64,6 +63,7 @@ import numpy as np
 from .discrete_ops import SystemMatrices, input_columns
 from .gain import GainVector
 from .grid import RectGrid
+from .records import Frozen, Record
 from .reference import CauchyData
 
 
@@ -71,50 +71,46 @@ class NonFiniteState(Exception):
     """A marched state is not finite: the data overflowed the float range."""
 
 
-@dataclass(frozen=True)
-class ObserverProblem:
+class ObserverProblem(Frozen):
     """The grid, its top Cauchy data, its matrices and the gain of one run.
 
     The gain must have been designed on these matrices: ``run`` marches its
     closed loop, and its settling certificate holds for that loop only, so
     the loop must equal F - K C of ``mats`` bit for bit."""
 
-    grid: RectGrid
-    cauchy: CauchyData
-    mats: SystemMatrices
-    gain: GainVector
-
-    def __post_init__(self):
-        if len(self.cauchy.f) != self.grid.nx:
+    def __init__(self, grid: RectGrid, cauchy: CauchyData,
+                 mats: SystemMatrices, gain: GainVector):
+        if len(cauchy.f) != grid.nx:
             raise ValueError("Cauchy data must hold one sample per x node")
-        if (self.mats.ny, self.mats.dx, self.mats.dy) != (
-                self.grid.ny, self.grid.dx, self.grid.dy):
+        if (mats.ny, mats.dx, mats.dy) != (grid.ny, grid.dx, grid.dy):
             raise ValueError("matrices assembled for a different grid")
-        if len(self.gain.k) != 2 * self.grid.ny:
+        if len(gain.k) != 2 * grid.ny:
             raise ValueError("gain length must be twice the y node count")
-        gain, mats = self.gain, self.mats
         loop = mats.F - gain.k[:, None] * mats.C_row
         if (np.shape(gain.closed_loop) != loop.shape
                 or not (gain.closed_loop == loop).all()):
             raise ValueError("gain designed on other matrices: its closed "
                              "loop is not F - K C of these")
+        self.__dict__.update(grid=grid, cauchy=cauchy, mats=mats, gain=gain)
 
 
-@dataclass
-class ObserverConfig:
+class ObserverConfig(Record):
     """Options of one run."""
 
-    # (2*ny,): the state the sweep starts from at x = 0, as the last line of
-    # a previous sweep.  Default: the wrapped warm-up (see module docstring)
-    start_line: Optional[np.ndarray] = None
+    def __init__(self, start_line: Optional[np.ndarray] = None):
+        # (2*ny,): the state the sweep starts from at x = 0, as the last
+        # line of a previous sweep.  Default: the wrapped warm-up (see
+        # module docstring)
+        self.start_line = start_line
 
 
-@dataclass
-class SweepReport:
+class SweepReport(Record):
     """What one run's march reports about itself."""
 
-    warmup_steps: int               # 0 for an explicit start line
-    periodicity_defect: float       # max|x_N - x_0| / max|field|
+    def __init__(self, warmup_steps: int, periodicity_defect: float):
+        self.warmup_steps = warmup_steps    # 0 for an explicit start line
+        # max|x_N - x_0| / max|field|
+        self.periodicity_defect = periodicity_defect
 
     # kept only for perfbench/, which reads them
     @property

@@ -17,73 +17,62 @@ frequencies, not with the terms.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .grid import RectGrid
+from .records import Frozen, Value
 
 _PARITIES = ("cos", "sin")
 
 
-@dataclass(frozen=True)
-class TrigTerm:
+class TrigTerm(Value):
     """One separable term: coeff * trig(4*pi*k*x/a) * its cosh profile."""
 
-    k: int
-    coeff: float
-    parity: str  # "cos" or "sin"
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"mode index must be a positive integer, got {self.k}")
-        if self.parity not in _PARITIES:
-            raise ValueError(f"parity must be one of {_PARITIES}, got {self.parity!r}")
-        if not np.isfinite(self.coeff):
+    def __init__(self, k: int, coeff: float, parity: str):
+        if k < 1:
+            raise ValueError(f"mode index must be a positive integer, got {k}")
+        if parity not in _PARITIES:
+            raise ValueError(f"parity must be one of {_PARITIES}, got {parity!r}")
+        if not np.isfinite(coeff):
             raise ValueError("coefficient must be finite")
+        self.__dict__.update(k=k, coeff=coeff, parity=parity)
 
 
-@dataclass(frozen=True)
-class ReferenceSolution:
+class ReferenceSolution(Value):
     """A sum of trig terms on the rectangle [0, a] x [0, b]."""
 
-    terms: tuple
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if len(self.terms) == 0:
+    def __init__(self, terms: tuple, a: float, b: float):
+        if len(terms) == 0:
             raise ValueError("a reference solution needs at least one term")
+        self.__dict__.update(terms=terms, a=a, b=b)
 
 
 # the smallest normal double, 2**-1022
 _TINY = float(np.finfo(float).tiny)
 
 
-@dataclass(frozen=True)
-class CauchyData:
+class CauchyData(Frozen):
     """Dirichlet trace f and Neumann trace g sampled along the top boundary.
 
     The data must be finite, and zero or with a peak over f and g of at
     least the smallest normal double: subnormal data carry fewer digits than
     the march needs, and their states would fall below the normal range."""
 
-    f: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self):
-        if len(self.f) != len(self.g):
+    def __init__(self, f: np.ndarray, g: np.ndarray):
+        if len(f) != len(g):
             raise ValueError("f and g must have equal length")
         # a nan or inf anywhere is the peak of its trace
-        peak_f = float(np.abs(self.f).max(initial=0.0))
-        peak_g = float(np.abs(self.g).max(initial=0.0))
+        peak_f = float(np.abs(f).max(initial=0.0))
+        peak_g = float(np.abs(g).max(initial=0.0))
         if not (math.isfinite(peak_f) and math.isfinite(peak_g)):
             raise ValueError("Cauchy data must be finite")
         peak = max(peak_f, peak_g)
         if 0.0 < peak < _TINY:
             raise ValueError(f"Cauchy data peak {peak:.3g} is subnormal: below "
                              f"the smallest normal double 2**-1022 = {_TINY:.3g}")
+        self.__dict__.update(f=f, g=g)
 
 
 def neumann_example(a: float, b: float) -> ReferenceSolution:

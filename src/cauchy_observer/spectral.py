@@ -51,9 +51,10 @@ diagnostics.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
+
+from .records import Frozen, Value
 
 ANALYSIS_LENGTH = np.pi / 4.0
 MODE_AMPLITUDE = -np.sqrt(8.0 / np.pi)
@@ -79,34 +80,27 @@ def _whole(value, rule: str) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class ModeSet:
+class ModeSet(Value):
     """Finite, duplicate-free truncation of the mode family plus a node count.
 
     The indices and the node count are stored as ``int``s; an integral float
     such as 101.0 becomes 101, so equal sets sample alike.  A value that is
     not a whole number is refused."""
 
-    indices: tuple
-    quadrature: int = DEFAULT_QUADRATURE
-
-    def __post_init__(self):
+    def __init__(self, indices: tuple, quadrature: int = DEFAULT_QUADRATURE):
         idx = tuple(_whole(i, "mode indices must be whole numbers")
-                    for i in self.indices)
+                    for i in indices)
         if len(set(idx)) != len(idx):
             raise ValueError("mode indices must be duplicate-free")
         if len(idx) == 0:
             raise ValueError("mode set must be nonempty")
-        q = _whole(self.quadrature,
-                   "quadrature must be a whole number of nodes")
+        q = _whole(quadrature, "quadrature must be a whole number of nodes")
         if q < 5:
             raise ValueError("quadrature needs at least 5 nodes")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "quadrature", q)
+        self.__dict__.update(indices=idx, quadrature=q)
 
 
-@dataclass(frozen=True)
-class FunctionPair:
+class FunctionPair(Frozen):
     """Two functions sampled on the uniform quadrature nodes of [0, pi/4].
 
     ``dp1`` holds samples of the first component's derivative, which the
@@ -114,21 +108,15 @@ class FunctionPair:
     analytic ones, so repeated applications stay exact to round-off.
     """
 
-    p1: np.ndarray
-    p2: np.ndarray
-    dp1: np.ndarray
-
-    def __post_init__(self):
-        p1 = np.asarray(self.p1, dtype=float)
-        p2 = np.asarray(self.p2, dtype=float)
-        dp1 = np.asarray(self.dp1, dtype=float)
+    def __init__(self, p1: np.ndarray, p2: np.ndarray, dp1: np.ndarray):
+        p1 = np.asarray(p1, dtype=float)
+        p2 = np.asarray(p2, dtype=float)
+        dp1 = np.asarray(dp1, dtype=float)
         if p1.shape != p2.shape or p1.ndim != 1:
             raise ValueError("components must be 1-d arrays on identical nodes")
         if dp1.shape != p1.shape:
             raise ValueError("derivative samples must match the node set")
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
-        object.__setattr__(self, "dp1", dp1)
+        self.__dict__.update(p1=p1, p2=p2, dp1=dp1)
 
     @property
     def nodes(self) -> int:

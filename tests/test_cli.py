@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import pathlib
 import re
@@ -65,17 +64,19 @@ class TestConfigParsing:
         assert parse_config(path, []).nx == 33
 
     def test_readme_key_list_matches_run_config(self):
-        # the README's "Keys and defaults" block names every RunConfig
-        # field once, with its default (a's 2*pi is shown truncated)
+        # the README's "Keys and defaults" block names every annotated
+        # RunConfig key once, with its class default (a's 2*pi is shown
+        # truncated); each default has its annotated type
         readme = (pathlib.Path(__file__).resolve().parents[1]
                   / "README.md").read_text()
         block = re.search(r"Keys and defaults:\n\n```\n(.*?)```", readme,
                           re.S).group(1)
         shown = re.findall(r"(\w+)\s*=\s*(\S+)",
                            re.sub(r"#.*", "", block))
-        fields = dataclasses.fields(RunConfig)
-        assert sorted(k for k, _ in shown) == sorted(f.name for f in fields)
-        defaults = {f.name: f.default for f in fields}
+        types = RunConfig.__annotations__
+        assert sorted(k for k, _ in shown) == sorted(types)
+        defaults = {key: getattr(RunConfig, key) for key in types}
+        assert all(type(defaults[key]) is types[key] for key in types)
         for key, value in shown:
             if key != "a":
                 assert type(defaults[key])(value) == defaults[key], key

@@ -111,6 +111,14 @@ class TestPoleSpec:
         with pytest.raises(ValueError):
             PoleSpec(np.array([0.1 + 0.2j, 0.5 + 0j]))
 
+    @pytest.mark.parametrize("make", [lambda: PoleSpec([]),
+                                      lambda: ring_poles(0),
+                                      lambda: uniform_poles(0)],
+                             ids=["PoleSpec", "ring_poles", "uniform_poles"])
+    def test_rejects_empty_pole_set(self, make):
+        with pytest.raises(ValueError, match="at least one pole, got 0"):
+            make()
+
     def test_ring_is_conjugate_closed(self):
         spec = ring_poles(10, 0.55)
         assert len(spec) == 10

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import math
 import re
 import warnings
@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from cauchy_observer import (CauchyData, GainVector, NonFiniteState, ObserverConfig,
-                             ObserverProblem, TrigTerm, ackermann_gain, assemble,
+                             ObserverProblem, SweepReport, TrigTerm,
+                             ackermann_gain, assemble,
                              bottom_trace, build_grid, combo_example,
                              error_bottom, make_cauchy_data,
                              neumann_example, ring_poles, run, top_residual,
@@ -137,19 +138,23 @@ class TestRun:
         # marches it
         grid, mats, own, _, data = standard_problem(129, 5, "ring")
         other = standard_problem(257, 5, "ring")[2]
-        stale = dataclasses.replace(own, closed_loop=mats.F)
+        stale = GainVector(own.k, own.spectral_radius, own.obs_condition,
+                           mats.F, own.settle_steps)
         for gain in (other, stale):
-            bare = dataclasses.replace(gain, settle_steps=None)
+            bare = GainVector(gain.k, gain.spectral_radius,
+                              gain.obs_condition, gain.closed_loop, None)
             with pytest.raises(ValueError,
                                match="gain designed on other matrices"):
                 ObserverProblem(grid, data, mats, bare)
-        bare = dataclasses.replace(own, settle_steps=None)
+        bare = GainVector(own.k, own.spectral_radius, own.obs_condition,
+                          own.closed_loop, None)
         assert ObserverProblem(grid, data, mats, bare).gain is bare
 
     def test_closed_loop_of_another_shape_rejected(self):
         grid, mats, gain, _, data = standard_problem()
         for loop in (gain.closed_loop[:-1], gain.closed_loop.ravel()):
-            bad = dataclasses.replace(gain, closed_loop=loop)
+            bad = GainVector(gain.k, gain.spectral_radius,
+                             gain.obs_condition, loop, gain.settle_steps)
             with pytest.raises(ValueError,
                                match="gain designed on other matrices"):
                 ObserverProblem(grid, data, mats, bad)
@@ -176,8 +181,8 @@ class TestRun:
         assert report.sweeps == 1 and report.converged_at == 1
         assert report.warmup_steps == gain.settle_steps
         # run reports on its march only; solve scores the data residual
-        assert [f.name for f in dataclasses.fields(report)] == [
-            "warmup_steps", "periodicity_defect"]
+        assert list(inspect.signature(SweepReport).parameters) == list(
+            vars(report)) == ["warmup_steps", "periodicity_defect"]
         assert report.periodicity_defect == (
             np.abs(field[-1] - field[0]).max() / np.abs(field).max())
         _, bare = run(problem, ObserverConfig(start_line=field[-1]))
@@ -261,7 +266,8 @@ class TestRun:
     def test_uncertified_gain_refused(self):
         # a stable gain that carries no settling certificate
         grid, mats, gain, _, data = standard_problem(257, 5, "ring")
-        bare = dataclasses.replace(gain, settle_steps=None)
+        bare = GainVector(gain.k, gain.spectral_radius, gain.obs_condition,
+                          gain.closed_loop, None)
         problem = ObserverProblem(grid, data, mats, bare)
         zero = np.zeros(2 * grid.ny)
         for config in (ObserverConfig(), ObserverConfig(start_line=zero)):
@@ -270,7 +276,9 @@ class TestRun:
 
     def test_gain_length_validated(self):
         grid, mats, gain, _, data = standard_problem()
-        short = dataclasses.replace(gain, k=gain.k[:-1])
+        short = GainVector(gain.k[:-1], gain.spectral_radius,
+                           gain.obs_condition, gain.closed_loop,
+                           gain.settle_steps)
         with pytest.raises(ValueError):
             ObserverProblem(grid, data, mats, short)
 
@@ -508,8 +516,8 @@ def past_float_range(size):
 
 def scaled_data(problem, factor):
     cauchy = problem.cauchy
-    return dataclasses.replace(problem, cauchy=CauchyData(
-        f=factor * cauchy.f, g=factor * cauchy.g))
+    return ObserverProblem(problem.grid, CauchyData(
+        f=factor * cauchy.f, g=factor * cauchy.g), problem.mats, problem.gain)
 
 
 def step_matrix(problem, dtype=float):
@@ -595,8 +603,8 @@ class TestWindowedMarch:
         grid = problem.grid
         f = np.zeros(grid.nx)
         f[1400:1701] = np.sin(np.linspace(0.0, np.pi, 301)) ** 2
-        problem = dataclasses.replace(
-            problem, cauchy=CauchyData(f=f, g=np.zeros(grid.nx)))
+        problem = ObserverProblem(grid, CauchyData(f=f, g=np.zeros(grid.nx)),
+                                  problem.mats, problem.gain)
         step = step_matrix(problem)
         zero = np.zeros(2 * grid.ny)
         size = np.abs(per_step_march(step, sweep_inputs(problem), zero)).max(
