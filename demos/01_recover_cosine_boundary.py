@@ -27,17 +27,15 @@ grid = co.build_grid(a, b, nx=257, ny=5)
 data = co.make_cauchy_data(solution, grid)
 print(f"grid {grid.nx} x {grid.ny}: dx = {grid.dx:.4f}, dy = {grid.dy:.4f}")
 
-mats = co.assemble(grid)
-
 # Gain design: place the closed-loop spectrum on a ring of modulus 0.55.
 # The ring keeps the placement polynomial perfectly conditioned and leaves
 # the whole spectrum far away from the slow data frequencies near +1.
-gain = co.ackermann_gain(mats.F, mats.C_row, co.ring_poles(2 * grid.ny, 0.55))
+problem = co.design(grid, data, co.ring_poles(2 * grid.ny, 0.55))
+gain = problem.gain
 print(f"closed-loop spectral radius: {gain.spectral_radius:.4f} "
       f"(observability condition {gain.obs_condition:.2e})")
 
-problem = co.ObserverProblem(grid, data, mats, gain)
-field, report = co.run(problem, co.ObserverConfig())
+field, report = co.run(problem)
 exact = co.bottom_trace(solution, grid)
 
 # One sweep, led in by a warm-up over the last W data steps, lands on the

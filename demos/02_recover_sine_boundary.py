@@ -17,11 +17,9 @@ solution = co.dirichlet_example(a, b)
 
 grid = co.build_grid(a, b, nx=257, ny=5)
 data = co.make_cauchy_data(solution, grid)
-mats = co.assemble(grid)
-gain = co.ackermann_gain(mats.F, mats.C_row, co.ring_poles(2 * grid.ny, 0.55))
 
-field, report = co.run(co.ObserverProblem(grid, data, mats, gain),
-                       co.ObserverConfig())
+problem = co.design(grid, data, co.ring_poles(2 * grid.ny, 0.55))
+field, report = co.run(problem)
 err = co.error_bottom(field, co.bottom_trace(solution, grid), grid.dx)
 
 print(f"periodicity defect: {report.periodicity_defect:.1e}")

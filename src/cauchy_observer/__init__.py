@@ -7,7 +7,7 @@ from .gain import (GainVector, ObservabilityDeficient, PlacementFailed,
                    ring_poles, settle_steps, uniform_poles)
 from .grid import RectGrid, build_grid
 from .observer import (NonFiniteState, ObserverConfig, ObserverProblem,
-                       SweepReport, error_bottom, run, top_residual)
+                       SweepReport, design, error_bottom, run, top_residual)
 from .reference import (CauchyData, ReferenceSolution, TrigTerm, bottom_trace,
                         combo_example, dirichlet_example, evaluate,
                         make_cauchy_data, neumann_example, sample_state_field)

@@ -4,8 +4,9 @@
 
 Configuration is a flat ``key = value`` text file; any key can be overridden
 on the command line with ``--key value`` or ``--key=value`` (``--config=FILE``
-works too), and ``-h`` or ``--help`` prints the usage line.  Outputs are CSV
-files with fixed formatting (17 significant digits, comma separator, LF line
+works too), and ``-h`` or ``--help`` prints the usage line where a flag
+can stand.  Outputs are CSV files with fixed formatting (17 significant
+digits, comma separator, LF line
 endings) so that identical runs produce byte-identical artifacts, plus a
 gnuplot script that plots the bottom traces.  Every table is a 2-D float64
 array, formatted by ``format_floats`` byte for byte as ``%.17g`` writes
@@ -23,9 +24,10 @@ tail.
 
 Exit codes are decided in ``main``, which maps each failure the commands
 raise to its code and stderr line (``FAILURES``): 0 success, 1 runtime
-failure (an output file that cannot be written included; the outputs
-written before it stay), 64 bad usage or configuration, an output directory
-that cannot be created included.  Usage and configuration errors are found
+failure (an output file that cannot be written, or memory that cannot be
+allocated, included; the outputs written before it stay), 64 bad usage
+or configuration, an output directory that cannot be created included.
+Usage and configuration errors are found
 before the output directory is created.  ``main`` returns every exit code;
 it never raises SystemExit.
 """
@@ -43,12 +45,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import spectral
-from .discrete_ops import assemble
 from .gain import (ObservabilityDeficient, PlacementFailed, PoleSpec,
-                   ackermann_gain, ring_poles, uniform_poles)
+                   ring_poles, uniform_poles)
 from .grid import build_grid
-from .observer import (NonFiniteState, ObserverProblem, error_bottom, run,
-                       top_residual)
+from .observer import NonFiniteState, design, error_bottom, run, top_residual
 from .reference import (ReferenceSolution, TrigTerm, bottom_trace,
                         combo_example, dirichlet_example, make_cauchy_data,
                         neumann_example)
@@ -92,12 +92,12 @@ class Failed(Exception):
     """A run or a check failed; the message says what broke and why."""
 
 
-def parse_config(path: Optional[str], overrides: List[str]) -> RunConfig:
-    """Read ``key = value`` lines, then apply --key value override pairs; a
-    last ``--config FILE`` pair among them replaces ``path``.  Each value
-    is converted by its ``RunConfig`` key's annotated type."""
+def parse_config(overrides: List[str]) -> RunConfig:
+    """Read the ``key = value`` lines of the last ``--config FILE`` pair's
+    file, if any, then apply the other --key value override pairs.  Each
+    value is converted by its ``RunConfig`` key's annotated type."""
     pairs = _flag_pairs(overrides)
-    path = dict(pairs).get("--config", path)
+    path = dict(pairs).get("--config")
     cfg = RunConfig()
 
     def apply(key: str, value: str):
@@ -170,6 +170,18 @@ def _flag_pairs(tokens: List[str]) -> List[Tuple[str, str]]:
                 raise ConfigError(f"{flag} needs a value")
         pairs.append((flag, value))
     return pairs
+
+
+def _wants_help(tokens: List[str]) -> bool:
+    """Whether ``-h`` or ``--help`` stands where a flag can: not as the
+    value of a ``--key`` before it, as in ``--output_dir -h``."""
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return True
+        if token.startswith("--") and "=" not in token:
+            next(tokens, None)
+    return False
 
 
 def _parse_terms(text: str) -> List[TrigTerm]:
@@ -502,8 +514,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = _output_dir(cfg)
-    mats = assemble(grid)
-    gain = ackermann_gain(mats.F, mats.C_row, spec)
+    problem = design(grid, cauchy, spec)
+    gain = problem.gain
 
     reals = spec.poles.real
     row = np.array([[reals.min(), reals.max(), gain.spectral_radius,
@@ -511,7 +523,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     replace_file(out / "gain.csv", b"method,pole_min,pole_max,spectral_radius,"
                  b"obs_matrix_condition\nackermann," + format_floats(row))
 
-    problem = ObserverProblem(grid=grid, cauchy=cauchy, mats=mats, gain=gain)
     try:
         field, report = run(problem)
     except ValueError as exc:
@@ -586,23 +597,27 @@ FAILURES = {ConfigError: (EXIT_USAGE, "configuration error: "),
             ObservabilityDeficient: (EXIT_RUNTIME, "gain design failed: "),
             PlacementFailed: (EXIT_RUNTIME, "gain design failed: "),
             NonFiniteState: (EXIT_RUNTIME, "solver overflowed: "),
+            # numpy raises a subclass; main looks failures up by isinstance
+            MemoryError: (EXIT_RUNTIME, "out of memory: "),
             Failed: (EXIT_RUNTIME, "")}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one command; returns its exit code.  A usage line goes to stdout
-    for ``-h``/``--help`` and to stderr for a missing or unknown command."""
+    for ``-h``/``--help`` where a flag can stand and to stderr for a
+    missing or unknown command."""
     args = sys.argv[1:] if argv is None else list(argv)
-    if "-h" in args or "--help" in args:
+    if _wants_help(args):
         print(USAGE)
         return EXIT_OK
     if not args or args[0] not in COMMANDS:
         print(USAGE, file=sys.stderr)
         return EXIT_USAGE
     try:
-        return COMMANDS[args[0]](parse_config(None, args[1:]))
+        return COMMANDS[args[0]](parse_config(args[1:]))
     except tuple(FAILURES) as exc:
-        code, prefix = FAILURES[type(exc)]
+        code, prefix = next(failure for cls, failure in FAILURES.items()
+                            if isinstance(exc, cls))
         print(f"{prefix}{exc}", file=sys.stderr)
         return code
 

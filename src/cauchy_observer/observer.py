@@ -60,8 +60,8 @@ from typing import Optional
 
 import numpy as np
 
-from .discrete_ops import SystemMatrices, input_columns
-from .gain import GainVector
+from .discrete_ops import SystemMatrices, assemble, input_columns
+from .gain import GainVector, PoleSpec, ackermann_gain
 from .grid import RectGrid
 from .records import Frozen, Record
 from .reference import CauchyData
@@ -92,6 +92,16 @@ class ObserverProblem(Frozen):
             raise ValueError("gain designed on other matrices: its closed "
                              "loop is not F - K C of these")
         self.__dict__.update(grid=grid, cauchy=cauchy, mats=mats, gain=gain)
+
+
+def design(grid: RectGrid, cauchy: CauchyData,
+           poles: PoleSpec) -> ObserverProblem:
+    """The certified observer of ``cauchy`` on ``grid``: the grid's
+    matrices and the gain that places ``poles``.  Raises what
+    ``ackermann_gain`` raises when the gain cannot be designed."""
+    mats = assemble(grid)
+    return ObserverProblem(grid, cauchy, mats,
+                           ackermann_gain(mats.F, mats.C_row, poles))
 
 
 class ObserverConfig(Record):

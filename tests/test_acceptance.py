@@ -48,14 +48,10 @@ def report(criterion: str, ok: bool, detail: str = ""):
 
 def _solve(sol, nx, ny, layout):
     grid = co.build_grid(A, B, nx, ny)
-    mats = co.assemble(grid)
     n = 2 * ny
     spec = (co.uniform_poles(n, 0.3, 0.8) if layout == "uniform"
             else co.ring_poles(n, 0.55))
-    gain = co.ackermann_gain(mats.F, mats.C_row, spec)
-    data = co.make_cauchy_data(sol, grid)
-    problem = co.ObserverProblem(grid, data, mats, gain)
-    field, rep = co.run(problem)
+    field, rep = co.run(co.design(grid, co.make_cauchy_data(sol, grid), spec))
     return co.error_bottom(field, co.bottom_trace(sol, grid), grid.dx), rep
 
 

@@ -35,33 +35,33 @@ def write_config(tmp_path, text, name="run.cfg"):
 
 class TestConfigParsing:
     def test_defaults_without_file(self):
-        cfg = parse_config(None, [])
+        cfg = parse_config([])
         assert cfg.example == "neumann"
         assert cfg.nx == 257 and cfg.ny == 5
 
     def test_overrides(self):
-        cfg = parse_config(None, ["--nx", "33", "--pole_max", "0.7"])
+        cfg = parse_config(["--nx", "33", "--pole_max", "0.7"])
         assert cfg.nx == 33
         assert cfg.pole_max == pytest.approx(0.7)
 
     def test_equals_form_override(self):
-        cfg = parse_config(None, ["--nx=41"])
+        cfg = parse_config(["--nx=41"])
         assert cfg.nx == 41
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, "wibble = 3\n")
         with pytest.raises(Exception):
-            parse_config(path, [])
+            parse_config(["--config", path])
 
     def test_config_flag_among_the_overrides(self, tmp_path):
         # the file is read first, then --nx applies over its nx = 65
         path = write_config(tmp_path, "nx = 65\nny = 3\n")
-        cfg = parse_config(None, ["--config", path, "--nx", "33"])
+        cfg = parse_config(["--config", path, "--nx", "33"])
         assert (cfg.nx, cfg.ny) == (33, 3)
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = write_config(tmp_path, "# hi\n\nnx = 33  # trailing\n")
-        assert parse_config(path, []).nx == 33
+        assert parse_config(["--config", path]).nx == 33
 
     def test_readme_key_list_matches_run_config(self):
         # the README's "Keys and defaults" block names every annotated
@@ -282,7 +282,7 @@ class TestSolve:
         out = tmp_path / "run15"
         path = write_config(tmp_path, BASE_CONFIG.format(out=out))
         assert main(["solve", "--config", path] + override) == EXIT_OK
-        cfg = parse_config(path, override)
+        cfg = parse_config(["--config", path] + override)
         rows = np.loadtxt(out / "boundary.csv", delimiter=",", skiprows=1)
         hist = (out / "history.csv").read_text().splitlines()[1].split(",")
         want = error_bottom(rows[:, 2:], rows[:, 1], cfg.a / (cfg.nx - 1))
@@ -609,8 +609,15 @@ class TestFailureTable:
         (["diagnose", "--modes_min", "100", "--modes_max", "102",
           "--quadrature", "101"], EXIT_RUNTIME,
          "observability lower bound at x = "),
+        # 10**15 nodes need petabytes, past the address space: numpy
+        # refuses the allocation at once and touches no page
+        (["solve", "--nx", "1000000000000000"], EXIT_RUNTIME,
+         "out of memory: "),
+        (["diagnose", "--quadrature", "1000000000000000"], EXIT_RUNTIME,
+         "out of memory: "),
     ], ids=["config", "gain_design", "overflow", "rejected", "unwritable",
-            "gram_err", "observability"])
+            "gram_err", "observability", "solve_out_of_memory",
+            "diagnose_out_of_memory"])
     def test_one_stderr_line_per_failure(self, tmp_path, capsys, argv, code,
                                          prefix):
         # main maps each failure to its exit code and one stderr line
@@ -627,10 +634,31 @@ class TestFailureTable:
 
 class TestUsage:
     @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["solve", "--help"],
-                                      ["diagnose", "-h"]])
+                                      ["diagnose", "-h"],
+                                      ["solve", "--nx", "33", "-h"]])
     def test_help_prints_usage(self, capsys, argv):
         assert main(argv) == EXIT_OK
         assert capsys.readouterr() == (USAGE + "\n", "")
+
+    def test_help_token_as_a_value_is_that_value(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # "-h" after --output_dir names the directory; it asks for no help
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--nx", "129", "--output_dir", "-h"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.endswith(f"outputs in {os.path.realpath('-h')}\n")
+        assert err == ""
+        rows = (tmp_path / "-h" / "boundary.csv").read_text().splitlines()
+        assert len(rows) == 130
+
+    def test_help_token_as_a_term_is_a_bad_term(self, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--terms", "--help"]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "configuration error: bad term '--help'; expected like "
+            "1.0*cos1\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv,err", [
         (["frobnicate"], USAGE),
@@ -874,7 +902,7 @@ class TestConfigFileErrors:
         elif kind == "fifo":
             os.mkfifo(path)
         with pytest.raises(ConfigError) as info:
-            parse_config(str(path), [])
+            parse_config(["--config", str(path)])
         assert str(info.value) == f"config file not found: {path}"
         for command in ("solve", "diagnose"):
             out = tmp_path / f"out_{command}"
@@ -887,20 +915,20 @@ class TestConfigFileErrors:
     def test_line_without_equals_sign(self, tmp_path):
         path = write_config(tmp_path, "nx = 65\n\nny 3  # no sign\n")
         with pytest.raises(ConfigError) as info:
-            parse_config(path, [])
+            parse_config(["--config", path])
         assert str(info.value) == f"{path}:3: expected 'key = value'"
 
     def test_null_byte_in_path_is_not_found(self, tmp_path):
         path = str(tmp_path / "run\0.cfg")
         with pytest.raises(ConfigError) as info:
-            parse_config(path, [])
+            parse_config(["--config", path])
         assert str(info.value) == f"config file not found: {path}"
 
     def test_stat_error_is_named(self, tmp_path):
         # a path component over 255 bytes: ENAMETOOLONG, not "not found"
         path = str(tmp_path / ("x" * 256) / "run.cfg")
         with pytest.raises(ConfigError) as info:
-            parse_config(path, [])
+            parse_config(["--config", path])
         assert str(info.value) == (
             f"cannot read config file {path}: File name too long")
 

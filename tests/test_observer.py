@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from cauchy_observer import (CauchyData, GainVector, NonFiniteState, ObserverConfig,
+from cauchy_observer import (CauchyData, GainVector, NonFiniteState,
+                             ObservabilityDeficient, ObserverConfig,
                              ObserverProblem, SweepReport, TrigTerm,
                              ackermann_gain, assemble,
                              bottom_trace, build_grid, combo_example,
-                             error_bottom, make_cauchy_data,
+                             design, error_bottom, make_cauchy_data,
                              neumann_example, ring_poles, run, top_residual,
                              uniform_poles)
 from cauchy_observer.observer import discrete_l2
@@ -324,11 +325,9 @@ def top_neumann_problem(nx, ny, sign=1.0):
     """The ring gain's problem on the top Neumann closed form's data, with g
     or with -g, and the true bottom trace."""
     grid = build_grid(A, B, nx, ny)
-    mats = assemble(grid)
-    gain = ackermann_gain(mats.F, mats.C_row, ring_poles(2 * ny, 0.55))
     f = np.cos(2.0 * grid.x) / math.cosh(1.0)
-    return (ObserverProblem(grid, CauchyData(f=f, g=sign * 2.0 * f), mats,
-                            gain),
+    return (design(grid, CauchyData(f=f, g=sign * 2.0 * f),
+                   ring_poles(2 * ny, 0.55)),
             f * math.exp(-1.0))
 
 
@@ -374,12 +373,67 @@ STALLED = [(nx, ny, k, "ring") for nx, ny in ((65, 3), (65, 5), (129, 3))
 
 def window_problem(nx, ny, k, parity, layout="ring"):
     grid = build_grid(A, B, nx, ny)
-    mats = assemble(grid)
     spec = (ring_poles(2 * ny, 0.55) if layout == "ring"
             else uniform_poles(2 * ny, 0.3, 0.8))
-    gv = ackermann_gain(mats.F, mats.C_row, spec)
     sol = combo_example([TrigTerm(k, 1.0, parity)], A, B)
-    return ObserverProblem(grid, make_cauchy_data(sol, grid), mats, gv), sol
+    return design(grid, make_cauchy_data(sol, grid), spec), sol
+
+
+class TestDesign:
+    """``design`` is the hand-built chain: ``assemble``, ``ackermann_gain``
+    at its default cap, ``ObserverProblem``."""
+
+    @staticmethod
+    def by_hand(grid, cauchy, spec):
+        mats = assemble(grid)
+        return ObserverProblem(grid, cauchy, mats,
+                               ackermann_gain(mats.F, mats.C_row, spec))
+
+    def test_takes_the_grid_the_data_and_the_poles_only(self):
+        params = inspect.signature(design).parameters
+        assert list(params) == ["grid", "cauchy", "poles"]
+        assert all(p.default is p.empty for p in params.values())
+
+    # the ring gain at 65x5 and the uniform one at 129x5 settle in W >= N
+    # steps, so their march is one block
+    @pytest.mark.parametrize("nx,ny,layout,data,one_block", [
+        (257, 5, "ring", "cos", False), (65, 5, "ring", "cos", True),
+        (129, 5, "uniform", "cos", True), (257, 5, "ring", "top", False)],
+        ids=["257x5", "65x5", "129x5_uniform", "top_neumann"])
+    def test_equals_the_hand_built_chain(self, nx, ny, layout, data,
+                                         one_block):
+        if data == "top":
+            problem, _ = top_neumann_problem(nx, ny)
+            grid, cauchy = problem.grid, problem.cauchy
+            assert cauchy.g.any()
+        else:
+            grid = build_grid(A, B, nx, ny)
+            cauchy = make_cauchy_data(neumann_example(A, B), grid)
+        spec = (ring_poles(2 * ny, 0.55) if layout == "ring"
+                else uniform_poles(2 * ny, 0.3, 0.8))
+        ours, theirs = design(grid, cauchy, spec), self.by_hand(grid, cauchy,
+                                                                spec)
+        assert ours.grid is grid and ours.cauchy is cauchy
+        for name in ("k", "closed_loop"):
+            assert np.array_equal(getattr(ours.gain, name),
+                                  getattr(theirs.gain, name))
+        assert ours.gain.settle_steps == theirs.gain.settle_steps
+        assert (ours.gain.settle_steps >= nx - 1) == one_block
+        (field, report), (want, want_report) = run(ours), run(theirs)
+        assert np.array_equal(field, want)
+        assert ((report.warmup_steps, report.periodicity_defect)
+                == (want_report.warmup_steps, want_report.periodicity_defect))
+
+    def test_raises_what_the_gain_design_raises(self):
+        # cond(O) is 6.8e12 at 65x9, above the default cap of 1e12
+        grid = build_grid(A, B, 65, 9)
+        cauchy = make_cauchy_data(neumann_example(A, B), grid)
+        spec = ring_poles(18, 0.55)
+        with pytest.raises(ObservabilityDeficient) as want:
+            self.by_hand(grid, cauchy, spec)
+        with pytest.raises(ObservabilityDeficient) as got:
+            design(grid, cauchy, spec)
+        assert str(got.value) == str(want.value)
 
 
 def problem_and_truth(nx, ny, k, data):
