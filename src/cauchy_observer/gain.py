@@ -135,6 +135,11 @@ def settle_steps(M: np.ndarray) -> Optional[int]:
     drops stay within 32 units of 2**-52 (at most 24, at 2049x3).  The first
     settled step of a plain power scan (66 to 72 there, against W of 90 to
     128) would not do: the 32 powers after it climb back to 1e4-1e9 units.
+    That bound is evidence for those grids only.  At ny = 4 (n = 8) W is
+    64 = 8n: ring poles make M^64 a multiple of I, so it settles, while
+    the dropped powers reach 1.4e5 units at 129x4, 2.4e6 at 257x4 and 4.2e8
+    at 513x4; the windowed march there is checked against a long-double
+    march instead (tests/test_observer.py).
     """
     powers = [np.asarray(M, dtype=float)]    # powers[i] = M^(2^i)
     # an unstable M overflows while squaring; inf and nan never settle
@@ -203,10 +208,8 @@ def _solve_extended(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _spectrum_order(z: np.ndarray) -> np.ndarray:
     """``z`` sorted by real part, then by imaginary part, each rounded by
-    Python's ``round(., 9)``; stable, so ties keep their order."""
-    re = [round(v, 9) for v in z.real.tolist()]
-    im = [round(v, 9) for v in z.imag.tolist()]
-    return z[np.lexsort((im, re))]
+    ``np.round(., 9)``; stable, so ties keep their order."""
+    return z[np.lexsort((np.round(z.imag, 9), np.round(z.real, 9)))]
 
 
 def _match_spectra(achieved: np.ndarray, requested: np.ndarray) -> float:

@@ -41,11 +41,14 @@ Lockstep window.  The certificate bounds the later powers only through
 ||M^(W+j)||_2 <= ||M^j||_2 * 2**-52, not by one rounding unit: with ring
 poles M^W can be tiny while the powers after it are not (at 2049x3,
 max_{j<32} ||M^(96+j)||_2 is about 24 units of 2**-52).  When W < N a
-sweep's states are cut into blocks of 16 to 31.  Block 0 marches from the
-start line (after the warm-up, if any) and is exact.  Every later block
-marches from rest over the W inputs before its own states, so its state j
-drops M^(W+j) times one earlier state, at most ||M^j||_2 * 2**-52 of it:
-the term the warm-up already leaves in sweep state j.  All blocks advance
+sweep's states are cut into blocks of 16 to 31, sized by the work of one
+lockstep step: 17 states on the grids up to 1025x3, 31 at 2049x3, where
+blocks of 17 would make each step's product 1.8 times the work.  Block 0
+marches from the start line (after the warm-up, if any) and is exact.
+Every later block marches from rest over the W inputs before its own
+states, so its state j drops M^(W+j) times one earlier state, at most
+||M^j||_2 * 2**-52 of it: the term the warm-up already leaves in sweep
+state j.  All blocks advance
 together as one matrix product per step, A times every block's (f, g,
 state) column, written in place into the next step's states, so a sweep,
 warm-up included, costs W + L interpreter steps (L <= 31) instead of
@@ -178,9 +181,40 @@ def error_bottom(field: np.ndarray, reference: np.ndarray, dx: float) -> float:
     return err / ref_norm if ref_norm else err
 
 
-# nominal states per block of the windowed march; _march rounds it up (to
-# at most 31) so that whole blocks cover the sweep
-_BLOCK = 16
+# States per block of the windowed march, at least and at most: a block's
+# state j drops M^(W + j), and the settling evidence covers j < 32
+_BLOCK, _BLOCK_MAX = 16, 31
+# Multiply-adds of one lockstep product A @ (2 + n, blocks) below which its
+# time is mostly numpy's call overhead: 1.3-1.6 us a step up to about 3000
+# at n = 6, 8 and 10, then rising with the work (2.1 us at 6144, 3.9 us at
+# 15360), on a 2-vCPU Xeon VM
+_STEP_WORK = 3000
+
+
+def _layout(steps: int, lead: int, window: int, n: int):
+    """(per, span, later) of ``_march``'s blocks: ``per`` states kept from
+    each later block, ``span`` steps marched, ``later`` blocks after block 0.
+
+    Without a window below the sweep's step count, one block of every step.
+    Otherwise as few blocks as keep a step's n (n + 2) blocks multiply-adds
+    under ``_STEP_WORK``, but never more than ``states // _BLOCK`` and never
+    longer than ``_BLOCK_MAX`` states: blocks of 17 states at 257x5, 31 at
+    2049x3 (67 blocks, 3216 multiply-adds a step, against 121 blocks and
+    5808 for 17).
+    """
+    if window >= steps - lead:
+        return steps, steps, 0
+    # comparisons, not min and max: the builtins' calls took 0.3 us a run,
+    # 0.3% of a 257x5 run
+    states = steps - lead + 1
+    count = states // _BLOCK
+    if n * (n + 2) * count > _STEP_WORK:
+        count = _STEP_WORK // (n * (n + 2)) or 1
+    per = -(-states // count) if count else states
+    if per > _BLOCK_MAX:
+        per = _BLOCK_MAX
+    span = window + per if window + per < steps else steps
+    return per, span, -(-(steps - span) // per)
 
 
 def _march(x0: np.ndarray, A: np.ndarray, D: np.ndarray, lead: int,
@@ -190,8 +224,10 @@ def _march(x0: np.ndarray, A: np.ndarray, D: np.ndarray, lead: int,
     T = len(D), and D[t] = (f, g) is the data of step t.  The first
     ``lead`` rows of D are a warm-up and the rest one sweep.  When
     ``window`` (a W with ||M^W||_2 <= 2**-52, M = A's state columns) is
-    below the sweep's step count, the states are cut into blocks that march
-    W + L steps in lockstep, one A @ (2 + n, blocks) product per step.
+    below the sweep's step count, the states are cut into blocks of L
+    states (``_layout``: 16 to 31, as few blocks as keep a step's product
+    cheap) that march W + L steps in lockstep, one A @ (2 + n, blocks)
+    product per step.
     Block 0 marches from s_0 and is exact; every later block marches from
     rest over the W inputs before its own L states, so its state j drops
     M^(W + j) times one earlier state.  Otherwise the one block is the
@@ -201,12 +237,7 @@ def _march(x0: np.ndarray, A: np.ndarray, D: np.ndarray, lead: int,
     state is not finite.
     """
     steps, n = len(D), len(A)
-    span = per = steps              # one block of every step
-    if window < steps - lead:
-        states = steps - lead + 1
-        per = -(-states // max(1, states // _BLOCK))
-        span = min(window + per, steps)
-    later = -(-(steps - span) // per)
+    per, span, later = _layout(steps, lead, window, n)
     # Z[j, :, b] holds block b's data of step j above its state j.  Block 0
     # reads D[:span]; later block b reads the span rows ending at
     # T - (later - b) * per, gathered through one strided view of D.  A

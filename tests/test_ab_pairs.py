@@ -1,6 +1,7 @@
 """tools/ab_pairs.py on one pair of one-pass benchmark runs, with this
 checkout on both sides: the JSON holds every end-to-end metric, per side and
-summarized."""
+summarized.  Its in-process mode, on the same checkout twice, runs whole
+cycles of the pool on both sides and gates every op."""
 
 import json
 import subprocess
@@ -38,3 +39,25 @@ def test_one_pair_on_spectral_diagnose(tmp_path):
     error = entry["metrics"]["error_max"]
     assert error["parent"] == error["change"] and error["ties"] == 1
     assert error["ratio"] == 1.0 and error["change_wins"] == 0
+
+
+def test_in_process_on_spectral_diagnose(tmp_path):
+    out = tmp_path / "ab.json"
+    subprocess.run([sys.executable, str(ROOT / "tools" / "ab_pairs.py"),
+                    "--parent", str(ROOT), "--change", str(ROOT),
+                    "--in-process", "--pairs", "1", "--seconds", "0.2",
+                    "--workloads", "spectral_diagnose", "--first-seed", "3",
+                    "--out", str(out)],
+                   check=True, timeout=600)
+    result = json.loads(out.read_text())
+    assert result["mode"] == "in-process" and result["seconds"] == 0.2
+    assert list(result["workloads"]) == ["spectral_diagnose"]
+    entry = result["workloads"]["spectral_diagnose"]
+    assert entry["seeds"] == [3]
+    # whole cycles of the pool: three quadratures times four mode ranges
+    assert entry["ops"] >= 12 and entry["ops"] % 12 == 0
+    assert entry["failed"] == {"parent": 0, "change": 0}
+    medians = entry["median_op_us"]
+    assert medians["parent"] > 0 and medians["change"] > 0
+    assert entry["ratio"] == medians["change"] / medians["parent"]
+    assert entry["change_wins"] + entry["ties"] <= entry["ops"]

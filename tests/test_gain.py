@@ -5,7 +5,8 @@ from cauchy_observer import (GainVector, ObservabilityDeficient,
                              PlacementFailed, PoleSpec, ackermann_gain,
                              assemble, build_grid, observability_matrix,
                              ring_poles, settle_steps, uniform_poles)
-from cauchy_observer.gain import PLACEMENT_TOL_SCALE, _solve_extended
+from cauchy_observer.gain import (PLACEMENT_TOL_SCALE, _solve_extended,
+                                  _spectrum_order)
 
 A, B = 2 * np.pi, 0.5
 # the grids of the working window (test_observer.WINDOW), then the grids
@@ -316,6 +317,21 @@ class TestSettleSteps:
         plain = next(n for n, v in enumerate(norms) if v <= unit)
         assert plain < W and max(norms[plain:plain + 32]) > 1e3 * unit
 
+    @pytest.mark.parametrize("nx", [129, 257, 513])
+    def test_ny4_drops_powers_past_32_units(self, nx):
+        # the exception the settle_steps docstring names: at ny = 4 the ring
+        # gain's M^64 is a multiple of I and settles, but the powers the
+        # lockstep march drops climb far past 32 units
+        mats = assemble(build_grid(A, B, nx, 4))
+        gv = ackermann_gain(mats.F, mats.C_row, ring_poles(8, 0.55))
+        W, unit = gv.settle_steps, 2.0 ** -52
+        assert W == 64
+        P, norms = np.linalg.matrix_power(gv.closed_loop, W), []
+        for _ in range(32):
+            norms.append(np.linalg.norm(P, 2))
+            P = P @ gv.closed_loop
+        assert norms[0] <= unit and max(norms) > 1e5 * unit
+
     def test_exact_powers_give_the_first_settling_step(self):
         # powers of 1/2 are exact: ||M^W|| = 2^-W, first at most 2^-52 at 52
         assert settle_steps(np.array([[0.5]])) == 52
@@ -334,3 +350,36 @@ def test_degenerate_observability_condition_is_infinite():
     with pytest.raises(ObservabilityDeficient,
                        match="observability matrix condition inf exceeds"):
         ackermann_gain(np.eye(4), np.zeros(4), ring_poles(4, 0.5))
+
+
+def python_round_order(z):
+    """The spectrum order by a Python ``round(., 9)`` key per element."""
+    re = [round(v, 9) for v in z.real.tolist()]
+    im = [round(v, 9) for v in z.imag.tolist()]
+    return z[np.lexsort((im, re))]
+
+
+# ring radii 0.3, 0.55 and 0.8 and the uniform layout for ny = 3 to 9
+POLE_SETS = [(ny, layout) for ny in range(3, 10)
+             for layout in (0.3, 0.55, 0.8, "uniform")]
+
+
+class TestSpectrumOrder:
+    @pytest.mark.parametrize("ny,layout", POLE_SETS)
+    def test_requested_poles_in_python_round_order(self, ny, layout):
+        spec = (uniform_poles(2 * ny) if layout == "uniform"
+                else ring_poles(2 * ny, layout))
+        assert np.array_equal(_spectrum_order(spec.poles),
+                              python_round_order(spec.poles))
+
+    @pytest.mark.parametrize("nx,ny", WINDOW_GRIDS + [(65, 5)])
+    def test_achieved_spectra_in_python_round_order(self, nx, ny):
+        mats = assemble(build_grid(A, B, nx, ny))
+        gv = ackermann_gain(mats.F, mats.C_row, ring_poles(2 * ny, 0.55))
+        achieved = np.linalg.eigvals(gv.closed_loop)
+        assert np.array_equal(_spectrum_order(achieved),
+                              python_round_order(achieved))
+
+    def test_ties_keep_their_order(self):
+        z = np.array([0.5 + 1e-12j, 0.5 - 1e-12j, 0.25 + 0j, 0.5 + 0j])
+        assert np.array_equal(_spectrum_order(z), z[[2, 0, 1, 3]])

@@ -14,7 +14,7 @@ from cauchy_observer import (CauchyData, GainVector, NonFiniteState,
                              design, error_bottom, make_cauchy_data,
                              neumann_example, ring_poles, run, top_residual,
                              uniform_poles)
-from cauchy_observer.observer import discrete_l2
+from cauchy_observer.observer import _STEP_WORK, _layout, discrete_l2
 
 A, B = 2 * np.pi, 0.5
 
@@ -603,15 +603,24 @@ def wrapped_inputs(problem):
     return np.concatenate([D[np.arange(steps - W, steps) % steps], D])
 
 
+# ny = 4 grids outside the window's settling evidence: W = 64 settles, but
+# the powers M^(64 + j), j < 32, that the lockstep march drops reach 1.4e5
+# to 4.2e8 rounding units (gain.settle_steps)
+SETTLE_EXCEPTION_DATA = [(nx, 4, k, parity) for nx in (129, 257, 513)
+                         for k in (1, 2) for parity in ("cos", "sin")]
+
+
 class TestWindowedMarch:
-    @pytest.mark.parametrize("nx,ny,k,data", WINDOW_DATA)
+    @pytest.mark.parametrize("nx,ny,k,data",
+                             WINDOW_DATA + SETTLE_EXCEPTION_DATA)
     def test_accuracy_against_long_double_march(self, nx, ny, k, data):
         # per-step references of the same warm-up and sweep from rest.  The
         # long-double one forms its inputs K f - 2 dx g / dy in long double
         # from the float64 k, f and g, so it marches the recursion, not one
-        # rounding of its inputs.  Worst windowed-to-plain ratios over these
-        # 29 cases: 1.35 (2049x3) for the largest deviation, 1.26 for the L2
-        # one; worst score change 7.0e-6 (257x6).  On 385x5 and 257x6 the
+        # rounding of its inputs.  Worst windowed-to-plain ratios over the
+        # 29 window cases: 1.31 (2049x3) for the largest deviation, 1.26
+        # (513x3) for the L2 one; worst score change 7.0e-6 (257x6); over the
+        # 12 ny = 4 cases 1.20, 0.99 and 6.6e-7.  On 385x5 and 257x6 the
         # 1e-5 score check sits at the rounding floor: for k = 1, 2 data of
         # 40 other amplitudes, 7 to 8 of 80 cases exceed it in each order
         # of the step's terms tried, (f, g, x) and (x, f, g) alike
@@ -701,6 +710,60 @@ class TestWindowedMarch:
             for _ in range(2))
         assert not np.array_equal(f1[1], f2[1])
         assert np.array_equal(f1[W + 32:], f2[W + 32:])
+
+
+# the cli_solve grids keep blocks of 17 states; at 2049x3 blocks of 17
+# would make a step's product 121 x 48 = 5808 multiply-adds
+BLOCKS = [(129, 5, 17, 8), (257, 5, 17, 16), (385, 5, 17, 23),
+          (257, 6, 17, 16), (513, 3, 17, 31), (1025, 3, 17, 61),
+          (2049, 3, 31, 67)]
+
+
+class TestBlockLayout:
+    @pytest.mark.parametrize("n", range(6, 19))
+    def test_blocks_hold_16_to_31_states(self, n):
+        # a window of one step, so that every sweep is cut into blocks;
+        # block 0 keeps states 0 to span - 1, each later block its last per
+        for states in range(16, 4098):
+            per, span, later = _layout(states, 1, 1, n)
+            assert 16 <= per <= 31
+            assert states <= span + later * per < states + per
+            assert later + 1 <= states // 16
+            assert per == 31 or n * (n + 2) * (later + 1) <= _STEP_WORK
+
+    @pytest.mark.parametrize("nx,ny,per,blocks", BLOCKS)
+    def test_block_length_on_the_window(self, nx, ny, per, blocks):
+        problem, _ = window_problem(nx, ny, 1, "cos")
+        W = problem.gain.settle_steps
+        got, span, later = _layout(nx - 1 + W, W, W, 2 * ny)
+        assert (got, span, later + 1) == (per, W + per, blocks)
+
+    def test_start_line_reaches_through_a_31_state_block(self):
+        # at 2049x3 the first block of a run from a start line marches W + 31
+        # steps from it, and the later blocks start from rest
+        problem, _ = window_problem(2049, 3, 1, "cos")
+        W = problem.gain.settle_steps
+        rng = np.random.default_rng(6)
+        f1, f2 = (run(problem, ObserverConfig(start_line=rng.standard_normal(
+            6)))[0] for _ in range(2))
+        assert not np.array_equal(f1[W + 31], f2[W + 31])
+        assert np.array_equal(f1[W + 32:], f2[W + 32:])
+
+    @pytest.mark.parametrize("k,parity", [(1, "cos"), (1, "sin"),
+                                          (2, "cos"), (2, "sin")])
+    def test_field_at_2049x3_against_long_double_march(self, k, parity):
+        # the whole field, every column, within the ratios the bottom trace
+        # keeps in TestWindowedMarch (at most 1.31 and 1.10 here)
+        problem, _ = window_problem(2049, 3, k, parity)
+        W = problem.gain.settle_steps
+        field, _ = run(problem)
+        V, x0 = wrapped_inputs(problem), np.zeros(6)
+        exact = per_step_march(step_matrix(problem, np.longdouble), V, x0)[W:]
+        plain = per_step_march(step_matrix(problem), V, x0)[W:]
+        assert (np.abs(field - exact).max()
+                <= 1.5 * np.abs(plain - exact).max())
+        assert (np.linalg.norm((field - exact).astype(float))
+                <= 1.5 * np.linalg.norm((plain - exact).astype(float)))
 
 
 class TestDiscreteL2Bits:
