@@ -56,9 +56,22 @@ W + N.  Two runs with different start lines therefore agree bit for bit
 past the first block, where a plain march leaves them M^q times the
 difference of their start lines apart.  When W >= N there is one block:
 the plain per-step march.
+
+The lockstep buffer, of W + L + 1 steps of every block's (f, g, state),
+is kept between runs with the list of its per-step views, keyed by the
+march's layout (its step count, warm-up, window and state size), from the
+layout's second run on.  A later run on that layout refills the buffer's
+start states and data rows and loops over the kept views: 0.77 times a
+run's time at 257x5, with the same arithmetic and the same bits.  The pool
+keeps the last 8 layouts run, and none whose buffer and views pass 1 MiB.
+A run takes its layout's buffer out of the pool and puts it back when it
+ends, by an exception too, so concurrent runs never share a buffer; as
+every run writes each row it reads, an interrupted run leaves nothing
+behind.  The field returned is a fresh array.
 """
 
 import math
+import threading
 from typing import Optional
 
 import numpy as np
@@ -217,6 +230,35 @@ def _layout(steps: int, lead: int, window: int, n: int):
     return per, span, -(-(steps - span) // per)
 
 
+# Workspaces of ``_march`` by layout (steps, lead, window, n), each the
+# tuple (per, span, later, Z, pairs), one for each of the last
+# _POOL_LAYOUTS layouts returned.  A layout's first run keeps no Z: its Z
+# is freed, as every Z was before the pool.  With glibc's malloc that
+# matters: keeping the first Z left the mmap threshold lower, and a 1025x3
+# solve's temporaries over 128 KB were mmapped and faulted in afresh on
+# every call (83 page faults an op, cli_solve's p90 latency 16% up).  Eight
+# layouts hold the six solve grids of the verified window and the 2049x3
+# strip, 2.3 MB with their views; with room for only one or two of the six,
+# evicted buffers churned the heap and the faults came back (33 to 150 an
+# op on 385x5 to 1025x3).  A layout is kept only if its buffer and step
+# views, about _VIEW_BYTES a step, take at most _POOL_BYTES
+_POOL = {}
+_POOL_LAYOUTS, _POOL_BYTES, _VIEW_BYTES = 8, 1 << 20, 320
+_POOL_LOCK = threading.Lock()
+
+
+def _take(key):
+    with _POOL_LOCK:
+        return _POOL.pop(key, None)
+
+
+def _put_back(key, space) -> None:
+    with _POOL_LOCK:
+        _POOL[key] = space
+        while len(_POOL) > _POOL_LAYOUTS:
+            del _POOL[next(iter(_POOL))]
+
+
 def _march(x0: np.ndarray, A: np.ndarray, D: np.ndarray, lead: int,
            window: int) -> np.ndarray:
     """States s_lead, ..., s_T of s_0 = x0, s_{t+1} = A @ (D[t], s_t).
@@ -233,37 +275,58 @@ def _march(x0: np.ndarray, A: np.ndarray, D: np.ndarray, lead: int,
     M^(W + j) times one earlier state.  Otherwise the one block is the
     plain march.
 
+    The buffer Z and its step views are pooled by layout (``_POOL``, and
+    the module docstring); the returned states are a fresh array.
+
     Raises NonFiniteState, naming the first warm-up or sweep step whose
     state is not finite.
     """
     steps, n = len(D), len(A)
-    per, span, later = _layout(steps, lead, window, n)
-    # Z[j, :, b] holds block b's data of step j above its state j.  Block 0
-    # reads D[:span]; later block b reads the span rows ending at
-    # T - (later - b) * per, gathered through one strided view of D.  A
-    # D.take(..., mode="wrap") gather gives the same bits, but its fresh
-    # copy made each call 11-47% slower on six window grids (2049x3 worst).
-    # traj is allocated first: allocated after Z, Z's pages were faulted in
-    # afresh on many runs
+    key = steps, lead, window, n
+    space = _take(key)
+    # traj is allocated before a new Z: allocated after it, Z's pages were
+    # faulted in afresh on many runs
     traj = np.empty((steps + 1, n))
-    Z = np.empty((span + 1, 2 + n, later + 1))
-    Z[0, 2:] = 0.0
-    Z[0, 2:, 0] = x0
-    Z[:span, :2, 0] = D[:span]
-    row, col = D.strides
-    Z[:span, :2, 1:] = np.ndarray((span, 2, later), D.dtype, D,
-                                  (steps - span - (later - 1) * per) * row,
-                                  (row, col, per * row))
-    # overflow is found once, below, over the kept states; A.dot on one
-    # block gives the bits of a per-step A.dot((f, g, x))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for z, out in zip(Z, Z[1:, 2:]):
-            A.dot(z, out)
-        # later blocks keep their last per states; block 0, exact, is
-        # written last over any overlap with block 1
-        traj[steps + 1 - later * per:].reshape(later, per, n)[...] = (
-            Z[span + 1 - per:, 2:, 1:].transpose(2, 0, 1))
-        traj[:span + 1] = Z[:, 2:, 0]
+    if space is None:
+        per, span, later = _layout(steps, lead, window, n)
+        Z = pairs = None
+    else:
+        per, span, later, Z, pairs = space
+    if Z is None:
+        # Z[j, :, b] holds block b's data of step j above its state j; the
+        # later blocks' start states stay zero, as no step writes row 0
+        Z = np.empty((span + 1, 2 + n, later + 1))
+        Z[0, 2:] = 0.0
+        if space is not None:
+            pairs = list(zip(Z, Z[1:, 2:]))
+    keep = Z.nbytes + _VIEW_BYTES * span <= _POOL_BYTES
+    try:
+        Z[0, 2:, 0] = x0
+        # Block 0 reads D[:span]; later block b reads the span rows ending
+        # at T - (later - b) * per, gathered through one strided view of D.
+        # A D.take(..., mode="wrap") gather gives the same bits, but its
+        # fresh copy made each call 11-47% slower on six window grids
+        # (2049x3 worst)
+        Z[:span, :2, 0] = D[:span]
+        row, col = D.strides
+        Z[:span, :2, 1:] = np.ndarray((span, 2, later), D.dtype, D,
+                                      (steps - span - (later - 1) * per) * row,
+                                      (row, col, per * row))
+        # overflow is found once, below, over the kept states; A.dot on one
+        # block gives the bits of a per-step A.dot((f, g, x)).  Bound once,
+        # not looked up on each of the W + L steps
+        dot = A.dot
+        with np.errstate(over="ignore", invalid="ignore"):
+            for z, out in pairs or zip(Z, Z[1:, 2:]):
+                dot(z, out)
+            # later blocks keep their last per states; block 0, exact, is
+            # written last over any overlap with block 1
+            traj[steps + 1 - later * per:].reshape(later, per, n)[...] = (
+                Z[span + 1 - per:, 2:, 1:].transpose(2, 0, 1))
+            traj[:span + 1] = Z[:, 2:, 0]
+    finally:
+        if keep:
+            _put_back(key, (per, span, later, Z if pairs else None, pairs))
     if not np.isfinite(traj).all():
         t = int(np.isfinite(traj).all(axis=1).argmin())
         where = f"warm-up step {t}" if t <= lead else f"sweep step {t - lead}"

@@ -59,5 +59,8 @@ def test_in_process_on_spectral_diagnose(tmp_path):
     assert entry["failed"] == {"parent": 0, "change": 0}
     medians = entry["median_op_us"]
     assert medians["parent"] > 0 and medians["change"] > 0
+    for side in ("parent", "change"):
+        low, high = entry["quartiles_op_us"][side]
+        assert 0 < low <= medians[side] <= high <= entry["p90_op_us"][side]
     assert entry["ratio"] == medians["change"] / medians["parent"]
     assert entry["change_wins"] + entry["ties"] <= entry["ops"]

@@ -1,6 +1,8 @@
 import inspect
 import math
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ from cauchy_observer import (CauchyData, GainVector, NonFiniteState,
                              design, error_bottom, make_cauchy_data,
                              neumann_example, ring_poles, run, top_residual,
                              uniform_poles)
+from cauchy_observer import observer
 from cauchy_observer.observer import _STEP_WORK, _layout, discrete_l2
 
 A, B = 2 * np.pi, 0.5
@@ -603,6 +606,22 @@ def wrapped_inputs(problem):
     return np.concatenate([D[np.arange(steps - W, steps) % steps], D])
 
 
+def late_block_overflow():
+    """A 2049x3 problem whose data vanish outside nodes 1400..1700, and its
+    data scaled so that they first overflow there: the warm-up and the
+    first 1400 states are zero, and the overflow is in a late block."""
+    problem, _ = window_problem(2049, 3, 1, "cos")
+    grid = problem.grid
+    f = np.zeros(grid.nx)
+    f[1400:1701] = np.sin(np.linspace(0.0, np.pi, 301)) ** 2
+    problem = ObserverProblem(grid, CauchyData(f=f, g=np.zeros(grid.nx)),
+                              problem.mats, problem.gain)
+    size = np.abs(per_step_march(step_matrix(problem), sweep_inputs(problem),
+                                 np.zeros(2 * grid.ny))).max(axis=1)
+    first_big = int((size > 0.5 * size.max()).argmax())
+    return problem, scaled_data(problem, past_float_range(size[first_big]))
+
+
 # ny = 4 grids outside the window's settling evidence: W = 64 settles, but
 # the powers M^(64 + j), j < 32, that the lockstep march drops reach 1.4e5
 # to 4.2e8 rounding units (gain.settle_steps)
@@ -641,6 +660,28 @@ class TestWindowedMarch:
         assert (abs(error_bottom(field, truth, grid.dx) - plain_err)
                 <= 1e-5 * plain_err)
 
+    @pytest.mark.parametrize("nx,ny", [(385, 5), (257, 6)])
+    def test_l2_accuracy_over_random_amplitudes(self, nx, ny):
+        # the L2 check above on 20 seeded amplitudes of k = 1, 2 cos and sin
+        # data, where its largest-deviation and score checks sit at the
+        # rounding floor; worst L2 ratios 1.04 (385x5) and 1.01 (257x6)
+        grid = build_grid(A, B, nx, ny)
+        rng = np.random.default_rng(28)
+        for i in range(20):
+            amplitude = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+            term = TrigTerm(1 + i % 2, amplitude, ("cos", "sin")[i // 2 % 2])
+            problem = design(grid, make_cauchy_data(combo_example(
+                [term], A, B), grid), ring_poles(2 * ny, 0.55))
+            W = problem.gain.settle_steps
+            field, _ = run(problem)
+            V, x0 = wrapped_inputs(problem), np.zeros(2 * ny)
+            exact = per_step_march(step_matrix(problem, np.longdouble), V,
+                                   x0)[W:, 0]
+            plain = per_step_march(step_matrix(problem), V, x0)[W:, 0]
+            assert (discrete_l2((field[:, 0] - exact).astype(float), grid.dx)
+                    <= 1.5 * discrete_l2((plain - exact).astype(float),
+                                         grid.dx)), term
+
     @pytest.mark.parametrize("power", [6, 40, -30])
     @pytest.mark.parametrize("nx,ny,k,data", [
         pytest.param(nx, ny, k, "cos", id=f"{nx}-{ny}-{k}")
@@ -659,24 +700,11 @@ class TestWindowedMarch:
         assert big_report.periodicity_defect == report.periodicity_defect
 
     def test_guard_names_a_step_in_a_late_block(self):
-        # data vanish outside nodes 1400..1700, so the warm-up and the first
-        # 1400 states are zero and the scaled data first overflow in a late
-        # block
-        problem, _ = window_problem(2049, 3, 1, "cos")
-        grid = problem.grid
-        f = np.zeros(grid.nx)
-        f[1400:1701] = np.sin(np.linspace(0.0, np.pi, 301)) ** 2
-        problem = ObserverProblem(grid, CauchyData(f=f, g=np.zeros(grid.nx)),
-                                  problem.mats, problem.gain)
-        step = step_matrix(problem)
-        zero = np.zeros(2 * grid.ny)
-        size = np.abs(per_step_march(step, sweep_inputs(problem), zero)).max(
-            axis=1)
-        first_big = int((size > 0.5 * size.max()).argmax())
-        big = scaled_data(problem, past_float_range(size[first_big]))
+        problem, big = late_block_overflow()
         with pytest.raises(NonFiniteState) as excinfo:
             run(big)
-        first_out = first_non_finite(step, sweep_inputs(big), zero)
+        first_out = first_non_finite(step_matrix(problem), sweep_inputs(big),
+                                     np.zeros(2 * problem.grid.ny))
         assert first_out > 1000
         named = int(re.search(r"sweep step (\d+)", str(excinfo.value)).group(1))
         assert named == first_out
@@ -764,6 +792,185 @@ class TestBlockLayout:
                 <= 1.5 * np.abs(plain - exact).max())
         assert (np.linalg.norm((field - exact).astype(float))
                 <= 1.5 * np.linalg.norm((plain - exact).astype(float)))
+
+
+# the window's grids, a one-block march (65x5) and a ny = 4 grid
+POOL_GRIDS = sorted({(nx, ny) for nx, ny, _ in WINDOW}) + [(65, 5), (129, 4)]
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """An empty workspace pool for the test, the module's left as it was."""
+    monkeypatch.setattr(observer, "_POOL", {})
+
+
+def unpooled_run(monkeypatch, problem, config=None):
+    """``run`` with no layout kept: every march streams a fresh buffer."""
+    with monkeypatch.context() as patch:
+        patch.setattr(observer, "_POOL", {})
+        patch.setattr(observer, "_POOL_BYTES", -1)
+        return run(problem, config)
+
+
+def pool_config(problem, mode, seed=7):
+    """The default run's config, or one from a seeded random start line."""
+    if mode == "warm":
+        return ObserverConfig()
+    line = np.random.default_rng(seed).standard_normal(2 * problem.grid.ny)
+    return ObserverConfig(start_line=line)
+
+
+def same_run(got, want):
+    (field, report), (want_field, want_report) = got, want
+    return (np.array_equal(field, want_field)
+            and report.warmup_steps == want_report.warmup_steps
+            and (report.periodicity_defect.hex()
+                 == want_report.periodicity_defect.hex()))
+
+
+@pytest.mark.usefixtures("fresh_pool")
+class TestWorkspacePool:
+    """``_march`` keeps a layout's lockstep buffer and step views between
+    runs; no run's field or report depends on what the pool holds."""
+
+    @pytest.mark.parametrize("mode", ["warm", "line"])
+    @pytest.mark.parametrize("nx,ny", POOL_GRIDS)
+    def test_fresh_repeated_and_interleaved_runs_agree(self, monkeypatch, nx,
+                                                       ny, mode):
+        # two data sets (and start lines) on one layout, and another layout
+        # between them; the first run of a layout streams its views, the
+        # second lists them and the later ones loop over the list
+        problem, _ = window_problem(nx, ny, 1, "cos")
+        twin, _ = window_problem(nx, ny, 2, "sin")
+        other, _ = window_problem(*((257, 5) if (nx, ny) == (129, 4)
+                                    else (129, 4)), 1, "sin")
+        cases = [(problem, pool_config(problem, mode)),
+                 (twin, pool_config(twin, mode, seed=8)),
+                 (other, pool_config(other, "line"))]
+        wants = [unpooled_run(monkeypatch, *case) for case in cases]
+        for _ in range(3):
+            for case, want in zip(cases, wants):
+                assert same_run(run(*case), want)
+        assert len(observer._POOL) == 2
+        assert all(space[4] is not None for space in observer._POOL.values())
+
+    def test_threads_give_the_sequential_fields(self, monkeypatch):
+        # two data sets on each of two layouts; a switch interval of 1 us
+        # makes the threads trade the interpreter inside every march
+        problems = [window_problem(257, 5, k, "cos")[0] for k in (1, 2)] + [
+            window_problem(129, 4, k, "sin")[0] for k in (1, 2)]
+        want = [unpooled_run(monkeypatch, p) for p in problems]
+        start, got = threading.Barrier(4), [[] for _ in range(4)]
+
+        def runs(first, out):
+            # 20 runs on each layout, each thread from its own problem
+            start.wait()
+            for i in range(40):
+                which = (first + i) % 4
+                out.append((which, run(problems[which])))
+
+        threads = [threading.Thread(target=runs, args=pair)
+                   for pair in enumerate(got)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [len(out) for out in got] == [40] * 4
+        for out in got:
+            for which, result in out:
+                assert same_run(result, want[which])
+
+    def test_clean_run_after_an_overflow(self, monkeypatch):
+        problem, big = late_block_overflow()
+        want = unpooled_run(monkeypatch, problem)
+        run(problem)
+        for _ in range(2):
+            with pytest.raises(NonFiniteState):
+                run(big)
+            assert same_run(run(problem), want)
+
+    def test_clean_run_after_an_interrupted_march(self, monkeypatch):
+        # a step product that raises part-way through the march leaves the
+        # workspace in the pool, half marched, and the next run refills it
+        problem, _ = window_problem(257, 5, 1, "cos")
+        want = unpooled_run(monkeypatch, problem)
+        run(problem)
+        run(problem)
+
+        class Interrupted(Exception):
+            pass
+
+        class Stops(np.ndarray):
+            calls = 0
+
+            def dot(self, *args):
+                Stops.calls += 1
+                if Stops.calls == 40:
+                    raise Interrupted
+                return np.asarray(self).dot(*args)
+
+        grid, W = problem.grid, problem.gain.settle_steps
+        step = np.concatenate((observer.input_columns(problem.mats,
+                                                      problem.gain.k),
+                               problem.gain.closed_loop), axis=1)
+        before = len(observer._POOL)
+        with pytest.raises(Interrupted):
+            observer._march(np.zeros(2 * grid.ny), step.view(Stops),
+                            wrapped_inputs(problem), W, W)
+        assert len(observer._POOL) == before
+        assert same_run(run(problem), want)
+
+    def test_field_is_not_the_pool_buffer(self, monkeypatch):
+        problem, _ = window_problem(513, 3, 1, "cos")
+        want = unpooled_run(monkeypatch, problem)
+        for _ in range(3):
+            field, _ = run(problem)
+            assert not any(np.shares_memory(field, space[3])
+                           for space in observer._POOL.values()
+                           if space[3] is not None)
+            field[...] = np.nan
+            assert same_run(run(problem), want)
+
+    def test_first_run_keeps_no_buffer(self):
+        # the first run's buffer is freed, as before the pool; the second
+        # run's buffer and views are kept
+        problem, _ = window_problem(257, 5, 1, "cos")
+        run(problem)
+        [(per, span, later, Z, pairs)] = observer._POOL.values()
+        assert (per, span, later + 1) == (17, 99 + 17, 16)
+        assert Z is None and pairs is None
+        run(problem)
+        [(_, _, _, Z, pairs)] = observer._POOL.values()
+        assert Z.shape == (span + 1, 12, later + 1) and len(pairs) == span
+
+    def test_pool_holds_at_most_its_bound(self):
+        layouts = set()
+        for nx, ny in POOL_GRIDS:
+            problem, _ = window_problem(nx, ny, 1, "cos")
+            for mode in ("warm", "line", "warm", "line"):
+                run(problem, pool_config(problem, mode))
+                layouts.add((nx, ny, mode))
+                assert len(observer._POOL) <= observer._POOL_LAYOUTS
+        assert len(layouts) > observer._POOL_LAYOUTS
+        assert len(observer._POOL) == observer._POOL_LAYOUTS
+        for _, span, _, Z, _ in observer._POOL.values():
+            assert Z.nbytes + observer._VIEW_BYTES * span <= observer._POOL_BYTES
+
+    def test_large_layout_is_not_kept(self):
+        # one block of 4001 steps on a 10-state march: 384 KB of buffer,
+        # 1.3 MB of views
+        step = np.zeros((10, 12))
+        step[:, 2:] = 0.5 * np.eye(10)
+        data = np.ones((4000, 2))
+        for _ in range(2):
+            states = observer._march(np.ones(10), step, data, 0, 4000)
+            assert np.array_equal(states[-1], np.zeros(10))
+        assert observer._POOL == {}
 
 
 class TestDiscreteL2Bits:

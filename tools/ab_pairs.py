@@ -26,9 +26,10 @@ generator calls, so both sides run the same inputs in the same order; each
 op runs once on each side, the parent first on even ops, and both outputs
 go through the workload's gate.  Each pair runs whole cycles of the pool
 until ``--seconds`` have passed.  Per workload it writes the op count, each
-side's failed ops (and the failures by message) and median op time in
-microseconds, the ratio of the change's median to the parent's, and the
-ops the change ran faster (ties count for neither side).
+side's failed ops (and the failures by message) and its op times in
+microseconds: the median, the quartiles and the 90th percentile (numpy's
+linear percentiles).  Then the ratio of the change's median to the
+parent's, and the ops the change ran faster (ties count for neither side).
 """
 
 import argparse
@@ -212,13 +213,17 @@ def in_process(parent: Path, change: Path, workloads, pairs: int,
                         if time.perf_counter() - start >= seconds:
                             break
         parent_t, change_t = (np.array(times[side]) for side in SIDES)
-        medians = {side: 1e6 * float(np.median(times[side]))
-                   for side in SIDES}
+        q = {side: [1e6 * float(v) for v in np.percentile(
+            times[side], [25, 50, 75, 90])] for side in SIDES}
+        medians = {side: q[side][1] for side in SIDES}
         result["workloads"][name] = {
             "seeds": seeds, "ops": len(parent_t),
             "failed": {side: sum(failures[side].values()) for side in SIDES},
             "failures": failures,
             "median_op_us": medians,
+            "quartiles_op_us": {side: [q[side][0], q[side][2]]
+                                for side in SIDES},
+            "p90_op_us": {side: q[side][3] for side in SIDES},
             "ratio": medians["change"] / medians["parent"],
             "change_wins": int((change_t < parent_t).sum()),
             "ties": int((change_t == parent_t).sum())}
