@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .records import Value
+from .records import Value, whole
 
 
 class RectGrid(Value):
@@ -44,11 +44,14 @@ def build_grid(a: float, b: float, nx: int, ny: int) -> RectGrid:
     dx/dy**2 so large that the marching step's largest entry, 5*dx/dy**2
     (the bottom one-sided stencil), is not finite, and for fewer than 3
     nodes per direction (centered differences need a full interior
-    stencil).
+    stencil).  A node count must be a whole number: an ``int``, or a float
+    or numpy integer equal to one; any other raises ValueError.
     """
     if not (0.0 < a < math.inf) or not (0.0 < b < math.inf):
         raise ValueError(
             f"domain extents must be positive and finite, got a={a}, b={b}")
+    nx = whole(nx, "x node count must be a whole number")
+    ny = whole(ny, "y node count must be a whole number")
     if nx < 3:
         raise ValueError(f"insufficient x nodes: nx={nx} < 3")
     if ny < 3:
@@ -59,6 +62,6 @@ def build_grid(a: float, b: float, nx: int, ny: int) -> RectGrid:
     if not math.isfinite(dx * (5.0 * (1.0 / (dy * dy)))):
         raise ValueError(f"spacings dx={dx}, dy={dy} overflow the marching "
                          "step: 5*dx/dy**2 is not finite")
-    return RectGrid(a=float(a), b=float(b), nx=int(nx), ny=int(ny),
+    return RectGrid(a=float(a), b=float(b), nx=nx, ny=ny,
                     dx=dx, dy=dy)
 

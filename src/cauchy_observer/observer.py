@@ -58,20 +58,19 @@ difference of their start lines apart.  When W >= N there is one block:
 the plain per-step march.
 
 The lockstep buffer, of W + L + 1 steps of every block's (f, g, state),
-is kept between runs with the list of its per-step views, keyed by the
-march's layout (its step count, warm-up, window and state size), from the
-layout's second run on.  A later run on that layout refills the buffer's
-start states and data rows and loops over the kept views: 0.77 times a
-run's time at 257x5, with the same arithmetic and the same bits.  The pool
-keeps the last 8 layouts run, and none whose buffer and views pass 1 MiB.
-A run takes its layout's buffer out of the pool and puts it back when it
-ends, by an exception too, so concurrent runs never share a buffer; as
-every run writes each row it reads, an interrupted run leaves nothing
-behind.  The field returned is a fresh array.
+is kept between runs with the list of its per-step views by the gain that
+marches it, one for each warm-up length (the default run's and a start
+line's), from its second run on.  A later run on that gain refills the
+buffer's start states and data rows and loops over the kept views: 0.77
+times a run's time at 257x5, with the same arithmetic and the same bits.
+The workspaces are freed with the gain.  A run takes its workspace out and puts it back when it ends, by an
+exception too, so concurrent runs never share a buffer; as every run
+writes each row it reads, an interrupted run leaves nothing behind.  The
+field returned is a fresh array.
 """
 
 import math
-import threading
+import weakref
 from typing import Optional
 
 import numpy as np
@@ -230,37 +229,18 @@ def _layout(steps: int, lead: int, window: int, n: int):
     return per, span, -(-(steps - span) // per)
 
 
-# Workspaces of ``_march`` by layout (steps, lead, window, n), each the
-# tuple (per, span, later, Z, pairs), one for each of the last
-# _POOL_LAYOUTS layouts returned.  A layout's first run keeps no Z: its Z
-# is freed, as every Z was before the pool.  With glibc's malloc that
-# matters: keeping the first Z left the mmap threshold lower, and a 1025x3
-# solve's temporaries over 128 KB were mmapped and faulted in afresh on
-# every call (83 page faults an op, cli_solve's p90 latency 16% up).  Eight
-# layouts hold the six solve grids of the verified window and the 2049x3
-# strip, 2.3 MB with their views; with room for only one or two of the six,
-# evicted buffers churned the heap and the faults came back (33 to 150 an
-# op on 385x5 to 1025x3).  A layout is kept only if its buffer and step
-# views, about _VIEW_BYTES a step, take at most _POOL_BYTES
-_POOL = {}
-_POOL_LAYOUTS, _POOL_BYTES, _VIEW_BYTES = 8, 1 << 20, 320
-_POOL_LOCK = threading.Lock()
-
-
-def _take(key):
-    with _POOL_LOCK:
-        return _POOL.pop(key, None)
-
-
-def _put_back(key, space) -> None:
-    with _POOL_LOCK:
-        _POOL[key] = space
-        while len(_POOL) > _POOL_LAYOUTS:
-            del _POOL[next(iter(_POOL))]
+# Workspaces of ``_march`` by gain: a dict from warm-up length to
+# (layout, per, span, later, Z, pairs), the layout (steps, lead, window, n)
+# they were made for.  A layout's first run keeps no Z: its Z is freed.
+# With glibc's malloc that matters: keeping the first Z left the mmap
+# threshold lower, and a 1025x3 solve's temporaries over 128 KB were
+# mmapped and faulted in afresh on every call (83 page faults an op,
+# cli_solve's p90 latency 16% up)
+_SPACES = weakref.WeakKeyDictionary()
 
 
 def _march(x0: np.ndarray, A: np.ndarray, D: np.ndarray, lead: int,
-           window: int) -> np.ndarray:
+           window: int, spaces: dict) -> np.ndarray:
     """States s_lead, ..., s_T of s_0 = x0, s_{t+1} = A @ (D[t], s_t).
 
     T = len(D), and D[t] = (f, g) is the data of step t.  The first
@@ -275,23 +255,24 @@ def _march(x0: np.ndarray, A: np.ndarray, D: np.ndarray, lead: int,
     M^(W + j) times one earlier state.  Otherwise the one block is the
     plain march.
 
-    The buffer Z and its step views are pooled by layout (``_POOL``, and
-    the module docstring); the returned states are a fresh array.
+    The buffer Z and its step views are kept in ``spaces``, the marching
+    gain's dict of ``_SPACES``, under ``lead`` (see the module docstring);
+    the returned states are a fresh array.
 
     Raises NonFiniteState, naming the first warm-up or sweep step whose
     state is not finite.
     """
     steps, n = len(D), len(A)
-    key = steps, lead, window, n
-    space = _take(key)
+    layout = steps, lead, window, n
+    space = spaces.pop(lead, None)
     # traj is allocated before a new Z: allocated after it, Z's pages were
     # faulted in afresh on many runs
     traj = np.empty((steps + 1, n))
-    if space is None:
-        per, span, later = _layout(steps, lead, window, n)
-        Z = pairs = None
+    if space is None or space[0] != layout:
+        per, span, later = _layout(*layout)
+        space = Z = pairs = None
     else:
-        per, span, later, Z, pairs = space
+        _, per, span, later, Z, pairs = space
     if Z is None:
         # Z[j, :, b] holds block b's data of step j above its state j; the
         # later blocks' start states stay zero, as no step writes row 0
@@ -299,7 +280,6 @@ def _march(x0: np.ndarray, A: np.ndarray, D: np.ndarray, lead: int,
         Z[0, 2:] = 0.0
         if space is not None:
             pairs = list(zip(Z, Z[1:, 2:]))
-    keep = Z.nbytes + _VIEW_BYTES * span <= _POOL_BYTES
     try:
         Z[0, 2:, 0] = x0
         # Block 0 reads D[:span]; later block b reads the span rows ending
@@ -325,8 +305,7 @@ def _march(x0: np.ndarray, A: np.ndarray, D: np.ndarray, lead: int,
                 Z[span + 1 - per:, 2:, 1:].transpose(2, 0, 1))
             traj[:span + 1] = Z[:, 2:, 0]
     finally:
-        if keep:
-            _put_back(key, (per, span, later, Z if pairs else None, pairs))
+        spaces[lead] = layout, per, span, later, Z if pairs else None, pairs
     if not np.isfinite(traj).all():
         t = int(np.isfinite(traj).all(axis=1).argmin())
         where = f"warm-up step {t}" if t <= lead else f"sweep step {t - lead}"
@@ -343,8 +322,9 @@ def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None):
     by the wrapped warm-up and is the periodic fixed point; with one, it is
     one application of the sweep map from that line (see the module
     docstring).  Raises ValueError for a gain without a settling
-    certificate and for a start line whose shape is not (2*ny,) or that is
-    not finite, and NonFiniteState when a marched state overflows.
+    certificate and for a start line that is complex, whose shape is not
+    (2*ny,) or that is not finite, and NonFiniteState when a marched state
+    overflows.
     """
     config = config or ObserverConfig()
     window = problem.gain.settle_steps
@@ -366,13 +346,18 @@ def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None):
         start, lead = np.zeros(2 * ny), window
         D = D.take(np.arange(-lead, steps), axis=0, mode="wrap")
     else:
+        # refused before the cast, which drops an imaginary part with only
+        # a ComplexWarning
+        if np.iscomplexobj(config.start_line):
+            raise ValueError("start line must be real")
         start, lead = np.asarray(config.start_line, dtype=float), 0
         if start.shape != (2 * ny,):
             raise ValueError(f"start line must have shape (2*ny,) = "
                              f"({2 * ny},), not {start.shape}")
         if not np.isfinite(start).all():
             raise ValueError("start line must be finite")
-    cur = _march(start, A, D, lead, window)
+    cur = _march(start, A, D, lead, window,
+                 _SPACES.setdefault(problem.gain, {}))
     scale = np.abs(cur).max()
     defect = np.abs(cur[-1] - cur[0]).max()
     return cur, SweepReport(

@@ -5,7 +5,7 @@ A read-only record's ``__init__`` writes its fields into ``self.__dict__``;
 after that, ``Frozen`` refuses to assign or delete an attribute.  Records
 compare and hash by identity, except ``Value`` records, whose fields are
 values that compare and hash.  Nothing here generates code: a record costs
-its class body at import.
+its class body at import.  ``whole`` checks a count field.
 """
 
 import operator
@@ -52,3 +52,15 @@ class Value(Frozen):
 
     def __hash__(self):
         return hash(self._key(self))
+
+
+def whole(value, rule: str) -> int:
+    """``value`` as an int; ValueError stating ``rule`` unless it is a whole
+    number."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{rule}, got {value!r}")
+    return n

@@ -54,7 +54,7 @@ import functools
 
 import numpy as np
 
-from .records import Frozen, Value
+from .records import Frozen, Value, whole
 
 ANALYSIS_LENGTH = np.pi / 4.0
 MODE_AMPLITUDE = -np.sqrt(8.0 / np.pi)
@@ -68,18 +68,6 @@ def mode_frequency(n: int) -> float:
     return 6.0 - 8.0 * n
 
 
-def _whole(value, rule: str) -> int:
-    """``value`` as an int; ValueError stating ``rule`` unless it is a whole
-    number."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != value:
-        raise ValueError(f"{rule}, got {value!r}")
-    return n
-
-
 class ModeSet(Value):
     """Finite, duplicate-free truncation of the mode family plus a node count.
 
@@ -88,13 +76,13 @@ class ModeSet(Value):
     not a whole number is refused."""
 
     def __init__(self, indices: tuple, quadrature: int = DEFAULT_QUADRATURE):
-        idx = tuple(_whole(i, "mode indices must be whole numbers")
+        idx = tuple(whole(i, "mode indices must be whole numbers")
                     for i in indices)
         if len(set(idx)) != len(idx):
             raise ValueError("mode indices must be duplicate-free")
         if len(idx) == 0:
             raise ValueError("mode set must be nonempty")
-        q = _whole(quadrature, "quadrature must be a whole number of nodes")
+        q = whole(quadrature, "quadrature must be a whole number of nodes")
         if q < 5:
             raise ValueError("quadrature needs at least 5 nodes")
         self.__dict__.update(indices=idx, quadrature=q)
@@ -222,7 +210,7 @@ def semigroup_apply(f: FunctionPair, x: float, modes: ModeSet) -> FunctionPair:
     output carries analytic derivative samples so compositions stay exact
     up to round-off.
     """
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("propagation distance must be nonnegative")
     if f.nodes != modes.quadrature:
         raise ValueError("pair and mode set use different quadrature nodes")
@@ -242,7 +230,7 @@ def observability_lower_bound(modes: ModeSet, x):
     array of distances; a scalar gives a float, an array one bound per entry.
     """
     x = np.asarray(x, dtype=float)
-    if (x < 0.0).any():
+    if not (x >= 0.0).all():
         raise ValueError("x must be nonnegative")
     lam, p1, dp1 = _sample_rows(modes)
     w = _trapezoid_weights(modes.quadrature)

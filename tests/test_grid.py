@@ -35,6 +35,26 @@ def test_rejects_bad_arguments(kwargs):
         build_grid(**kwargs)
 
 
+@pytest.mark.parametrize("nx,ny", [(257.5, 5), (257, 5.5), (float("nan"), 5),
+                                   (257, float("inf")), ("257", 5), (None, 5)])
+def test_rejects_a_count_that_is_not_whole(nx, ny):
+    # 257.5 x nodes once gave nx = 257 with dx = a/256.5, while its x nodes
+    # lay a/256 apart
+    name = "x" if ny == 5 else "y"
+    with pytest.raises(ValueError, match=f"{name} node count must be a whole"):
+        build_grid(2 * np.pi, 0.5, nx, ny)
+
+
+def test_whole_float_and_numpy_counts_give_the_int_grid():
+    want = build_grid(2 * np.pi, 0.5, 257, 5)
+    for nx, ny in ((257.0, 5.0), (np.int64(257), np.int32(5)),
+                   (np.float64(257.0), 5)):
+        got = build_grid(2 * np.pi, 0.5, nx, ny)
+        assert got == want
+        assert type(got.nx) is int and type(got.ny) is int
+        assert np.array_equal(got.x, want.x)
+
+
 def test_node_coordinates():
     g = build_grid(1.0, 0.5, 3, 3)
     assert np.allclose(g.x, [0.0, 0.5, 1.0])

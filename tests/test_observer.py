@@ -1,9 +1,11 @@
+import gc
 import inspect
 import math
 import re
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -299,6 +301,21 @@ class TestRun:
         for shape in ((3, 3), (grid.nx, 2 * grid.ny), (2 * grid.ny + 1,)):
             with pytest.raises(ValueError, match="start line"):
                 run(problem, ObserverConfig(start_line=np.zeros(shape)))
+
+    def test_complex_start_line_refused(self):
+        # refused before the float cast, which would drop the imaginary part
+        # with a ComplexWarning, an error under -W error
+        grid, mats, gain, _, data = standard_problem()
+        problem = ObserverProblem(grid, data, mats, gain)
+        line = np.zeros(2 * grid.ny, dtype=complex)
+        for imag in (1.0, 0.0):
+            line[3] = 1.0 + imag * 1j
+            for given in (line, list(line)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError,
+                                       match="start line must be real"):
+                        run(problem, ObserverConfig(start_line=given))
 
     def test_non_finite_start_line_refused(self):
         # refused before marching, not reported as an overflow at sweep
@@ -795,24 +812,26 @@ class TestBlockLayout:
 
 
 # the window's grids, a one-block march (65x5) and a ny = 4 grid
-POOL_GRIDS = sorted({(nx, ny) for nx, ny, _ in WINDOW}) + [(65, 5), (129, 4)]
+SPACE_GRIDS = sorted({(nx, ny) for nx, ny, _ in WINDOW}) + [(65, 5), (129, 4)]
 
 
-@pytest.fixture
-def fresh_pool(monkeypatch):
-    """An empty workspace pool for the test, the module's left as it was."""
-    monkeypatch.setattr(observer, "_POOL", {})
+def on_gain(problem, cauchy, gain=None):
+    """A problem of ``cauchy`` on ``problem``'s grid and matrices, marched
+    by ``gain``, by default ``problem``'s own."""
+    return ObserverProblem(problem.grid, cauchy, problem.mats,
+                           gain or problem.gain)
 
 
-def unpooled_run(monkeypatch, problem, config=None):
-    """``run`` with no layout kept: every march streams a fresh buffer."""
-    with monkeypatch.context() as patch:
-        patch.setattr(observer, "_POOL", {})
-        patch.setattr(observer, "_POOL_BYTES", -1)
-        return run(problem, config)
+def fresh_gain_run(problem, config=None):
+    """``run`` on a fresh gain equal in value to ``problem``'s: its march
+    has no kept workspace and streams a fresh buffer."""
+    gain = problem.gain
+    twin = GainVector(gain.k, gain.spectral_radius, gain.obs_condition,
+                      gain.closed_loop, gain.settle_steps)
+    return run(on_gain(problem, problem.cauchy, twin), config)
 
 
-def pool_config(problem, mode, seed=7):
+def space_config(problem, mode, seed=7):
     """The default run's config, or one from a seeded random start line."""
     if mode == "warm":
         return ObserverConfig()
@@ -828,46 +847,61 @@ def same_run(got, want):
                  == want_report.periodicity_defect.hex()))
 
 
-@pytest.mark.usefixtures("fresh_pool")
+def kept(problem):
+    """The workspaces kept for ``problem``'s gain, by warm-up length."""
+    return observer._SPACES[problem.gain]
+
+
 class TestWorkspacePool:
-    """``_march`` keeps a layout's lockstep buffer and step views between
-    runs; no run's field or report depends on what the pool holds."""
+    """Each gain keeps its march's lockstep buffer and step views between
+    runs, one for each warm-up length; no run's field or report depends on
+    what is kept."""
 
     @pytest.mark.parametrize("mode", ["warm", "line"])
-    @pytest.mark.parametrize("nx,ny", POOL_GRIDS)
-    def test_fresh_repeated_and_interleaved_runs_agree(self, monkeypatch, nx,
-                                                       ny, mode):
-        # two data sets (and start lines) on one layout, and another layout
-        # between them; the first run of a layout streams its views, the
-        # second lists them and the later ones loop over the list
+    @pytest.mark.parametrize("nx,ny", SPACE_GRIDS)
+    def test_fresh_repeated_and_interleaved_runs_agree(self, nx, ny, mode):
+        # two data sets (and start lines) on one shared gain, as
+        # batch_recover builds them, and a run of another gain between
+        # them; a workspace's first run streams its views, the second lists
+        # them and the later ones loop over the list
         problem, _ = window_problem(nx, ny, 1, "cos")
-        twin, _ = window_problem(nx, ny, 2, "sin")
+        twin = on_gain(problem, window_problem(nx, ny, 2, "sin")[0].cauchy)
         other, _ = window_problem(*((257, 5) if (nx, ny) == (129, 4)
                                     else (129, 4)), 1, "sin")
-        cases = [(problem, pool_config(problem, mode)),
-                 (twin, pool_config(twin, mode, seed=8)),
-                 (other, pool_config(other, "line"))]
-        wants = [unpooled_run(monkeypatch, *case) for case in cases]
+        cases = [(problem, space_config(problem, mode)),
+                 (twin, space_config(twin, mode, seed=8)),
+                 (other, space_config(other, "line"))]
+        wants = [fresh_gain_run(*case) for case in cases]
         for _ in range(3):
             for case, want in zip(cases, wants):
                 assert same_run(run(*case), want)
-        assert len(observer._POOL) == 2
-        assert all(space[4] is not None for space in observer._POOL.values())
+        lead = problem.gain.settle_steps if mode == "warm" else 0
+        [(key, space)] = kept(problem).items()
+        Z = space[4]
+        assert key == lead and Z is not None
+        assert same_run(run(*cases[1]), wants[1])
+        assert kept(twin)[lead][4] is Z
+        assert list(kept(other)) == [0]
 
-    def test_threads_give_the_sequential_fields(self, monkeypatch):
-        # two data sets on each of two layouts; a switch interval of 1 us
-        # makes the threads trade the interpreter inside every march
-        problems = [window_problem(257, 5, k, "cos")[0] for k in (1, 2)] + [
-            window_problem(129, 4, k, "sin")[0] for k in (1, 2)]
-        want = [unpooled_run(monkeypatch, p) for p in problems]
+    def test_threads_give_the_sequential_fields(self):
+        # two data sets on one shared gain, each run warm and from a start
+        # line: four threads contend for the gain's two workspaces, and a
+        # switch interval of 1 us makes them trade the interpreter inside
+        # every march
+        problem, _ = window_problem(257, 5, 1, "cos")
+        twin = on_gain(problem, window_problem(257, 5, 2, "cos")[0].cauchy)
+        cases = [(p, space_config(p, mode, seed))
+                 for p, seed in ((problem, 7), (twin, 8))
+                 for mode in ("warm", "line")]
+        want = [fresh_gain_run(*case) for case in cases]
         start, got = threading.Barrier(4), [[] for _ in range(4)]
 
         def runs(first, out):
-            # 20 runs on each layout, each thread from its own problem
+            # 10 runs of each case, each thread from its own case
             start.wait()
             for i in range(40):
                 which = (first + i) % 4
-                out.append((which, run(problems[which])))
+                out.append((which, run(*cases[which])))
 
         threads = [threading.Thread(target=runs, args=pair)
                    for pair in enumerate(got)]
@@ -884,23 +918,54 @@ class TestWorkspacePool:
         for out in got:
             for which, result in out:
                 assert same_run(result, want[which])
+        assert sorted(kept(problem)) == [0, problem.gain.settle_steps]
 
-    def test_clean_run_after_an_overflow(self, monkeypatch):
+    def test_one_gain_on_two_sweep_lengths(self):
+        # a 257x5 gain marches a 513x5 grid of twice the extent: its dx,
+        # dy and matrices are the same, its sweep twice as long.  Each run
+        # makes a workspace of its own length; none takes the other's
+        problem, _ = window_problem(257, 5, 1, "cos")
+        grid = build_grid(2 * A, B, 513, 5)
+        long = ObserverProblem(grid, make_cauchy_data(
+            neumann_example(2 * A, B), grid), problem.mats, problem.gain)
+        cases = [(p, space_config(p, mode))
+                 for p in (problem, long) for mode in ("warm", "line")]
+        wants = [fresh_gain_run(*case) for case in cases]
+        for _ in range(3):
+            for case, want in zip(cases, wants):
+                assert same_run(run(*case), want)
+            for case, want in zip(cases[::-1], wants[::-1]):
+                assert same_run(run(*case), want)
+
+    def test_workspaces_are_freed_with_the_gain(self):
+        problem, _ = window_problem(257, 5, 1, "cos")
+        twin = on_gain(problem, window_problem(257, 5, 2, "sin")[0].cauchy)
+        for _ in range(2):
+            run(problem)
+            run(twin, space_config(twin, "line"))
+        buffers = [weakref.ref(space[4]) for space in kept(problem).values()]
+        assert len(buffers) == 2 and all(ref() is not None for ref in buffers)
+        gain = weakref.ref(problem.gain)
+        del problem, twin
+        gc.collect()
+        assert gain() is None
+        assert all(ref() is None for ref in buffers)
+
+    def test_clean_run_after_an_overflow(self):
         problem, big = late_block_overflow()
-        want = unpooled_run(monkeypatch, problem)
+        assert big.gain is problem.gain
+        want = fresh_gain_run(problem)
         run(problem)
         for _ in range(2):
             with pytest.raises(NonFiniteState):
                 run(big)
             assert same_run(run(problem), want)
 
-    def test_clean_run_after_an_interrupted_march(self, monkeypatch):
+    def test_clean_run_after_an_interrupted_march(self):
         # a step product that raises part-way through the march leaves the
-        # workspace in the pool, half marched, and the next run refills it
+        # workspace in its dict, half marched, and the next march refills it
         problem, _ = window_problem(257, 5, 1, "cos")
-        want = unpooled_run(monkeypatch, problem)
-        run(problem)
-        run(problem)
+        field, _ = fresh_gain_run(problem)
 
         class Interrupted(Exception):
             pass
@@ -918,59 +983,39 @@ class TestWorkspacePool:
         step = np.concatenate((observer.input_columns(problem.mats,
                                                       problem.gain.k),
                                problem.gain.closed_loop), axis=1)
-        before = len(observer._POOL)
+        x0, inputs, spaces = np.zeros(2 * grid.ny), wrapped_inputs(problem), {}
+        for _ in range(2):
+            observer._march(x0, step, inputs, W, W, spaces)
+        Z = spaces[W][4]
         with pytest.raises(Interrupted):
-            observer._march(np.zeros(2 * grid.ny), step.view(Stops),
-                            wrapped_inputs(problem), W, W)
-        assert len(observer._POOL) == before
-        assert same_run(run(problem), want)
+            observer._march(x0, step.view(Stops), inputs, W, W, spaces)
+        assert list(spaces) == [W] and spaces[W][4] is Z
+        assert np.array_equal(observer._march(x0, step, inputs, W, W, spaces),
+                              field)
 
-    def test_field_is_not_the_pool_buffer(self, monkeypatch):
+    def test_field_is_not_the_pool_buffer(self):
         problem, _ = window_problem(513, 3, 1, "cos")
-        want = unpooled_run(monkeypatch, problem)
+        want = fresh_gain_run(problem)
         for _ in range(3):
             field, _ = run(problem)
-            assert not any(np.shares_memory(field, space[3])
-                           for space in observer._POOL.values()
-                           if space[3] is not None)
+            assert not any(np.shares_memory(field, space[4])
+                           for space in kept(problem).values()
+                           if space[4] is not None)
             field[...] = np.nan
             assert same_run(run(problem), want)
 
     def test_first_run_keeps_no_buffer(self):
-        # the first run's buffer is freed, as before the pool; the second
-        # run's buffer and views are kept
+        # the first run's buffer is freed, as when nothing was kept; the
+        # second run's buffer and views are kept
         problem, _ = window_problem(257, 5, 1, "cos")
         run(problem)
-        [(per, span, later, Z, pairs)] = observer._POOL.values()
+        [(layout, per, span, later, Z, pairs)] = kept(problem).values()
+        assert layout == (256 + 99, 99, 99, 10)
         assert (per, span, later + 1) == (17, 99 + 17, 16)
         assert Z is None and pairs is None
         run(problem)
-        [(_, _, _, Z, pairs)] = observer._POOL.values()
+        [(_, _, _, _, Z, pairs)] = kept(problem).values()
         assert Z.shape == (span + 1, 12, later + 1) and len(pairs) == span
-
-    def test_pool_holds_at_most_its_bound(self):
-        layouts = set()
-        for nx, ny in POOL_GRIDS:
-            problem, _ = window_problem(nx, ny, 1, "cos")
-            for mode in ("warm", "line", "warm", "line"):
-                run(problem, pool_config(problem, mode))
-                layouts.add((nx, ny, mode))
-                assert len(observer._POOL) <= observer._POOL_LAYOUTS
-        assert len(layouts) > observer._POOL_LAYOUTS
-        assert len(observer._POOL) == observer._POOL_LAYOUTS
-        for _, span, _, Z, _ in observer._POOL.values():
-            assert Z.nbytes + observer._VIEW_BYTES * span <= observer._POOL_BYTES
-
-    def test_large_layout_is_not_kept(self):
-        # one block of 4001 steps on a 10-state march: 384 KB of buffer,
-        # 1.3 MB of views
-        step = np.zeros((10, 12))
-        step[:, 2:] = 0.5 * np.eye(10)
-        data = np.ones((4000, 2))
-        for _ in range(2):
-            states = observer._march(np.ones(10), step, data, 0, 4000)
-            assert np.array_equal(states[-1], np.zeros(10))
-        assert observer._POOL == {}
 
 
 class TestDiscreteL2Bits:

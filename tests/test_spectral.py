@@ -114,6 +114,12 @@ class TestSemigroup:
         with pytest.raises(ValueError):
             semigroup_apply(sample_mode(0, 101), -0.1, ms)
 
+    def test_nan_distance_rejected(self):
+        # NaN passed a guard of x < 0 and gave an all-NaN pair
+        ms = ModeSet((0,), 101)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            semigroup_apply(sample_mode(0, 101), float("nan"), ms)
+
 
 class TestObservation:
     # the observation is the first component at the data end s = 0: p1[0]
@@ -341,6 +347,12 @@ class TestAgainstPerModeReference:
     def test_negative_distance_in_array_rejected(self):
         with pytest.raises(ValueError):
             observability_lower_bound(ModeSet((0,), 101), [0.1, -0.1])
+
+    @pytest.mark.parametrize("x", [float("nan"), [0.1, float("nan")]])
+    def test_nan_distance_rejected(self, x):
+        # NaN passed a guard of (x < 0).any() and gave a NaN bound
+        with pytest.raises(ValueError, match="x must be nonnegative"):
+            observability_lower_bound(ModeSet((0,), 101), x)
 
 
 class TestSamplingMemo:
