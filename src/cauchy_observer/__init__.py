@@ -1,7 +1,7 @@
 """Boundary-data recovery for the two-dimensional Laplace equation by an
 iterative marching observer, plus the spectral diagnostics that back it."""
 
-from .discrete_ops import SystemMatrices, assemble, input_columns
+from .discrete_ops import SystemMatrices, assemble
 from .gain import (GainVector, ObservabilityDeficient, PlacementFailed,
                    PoleSpec, ackermann_gain, observability_matrix,
                    ring_poles, settle_steps, uniform_poles)

@@ -1,10 +1,10 @@
-"""Marching operator assembly and the sweep's input columns.
+"""Marching operator assembly: the plant F, d and C of one grid.
 
 The second-order system is marched in x as a first-order recursion for the
 stacked state (u samples, du/dx samples) on one vertical grid line.  With
 output injection through the gain K every step is the same affine map
 
-    state_{n+1} = M @ state_n + B @ (f[n], g[n]),   M = F - K C,   B = [K | d]
+    state_{n+1} = (F - K C) @ state_n + K f[n] + d g[n]
 
 F = I + dx * A with A = [[0, I], [-D, 0]], D the second-difference matrix in
 y, and C selects the top u sample.  The top row of D folds the Neumann
@@ -16,9 +16,9 @@ therefore exactly linear in the state: the estimation error of two runs
 with shared data obeys  e_next = (F - K C) e,  and a full sweep contracts
 at rho(F - K C) ** (nx - 1), rho the spectral radius.
 
-``assemble`` builds F and C, and ``input_columns`` the columns B.  The
-closed loop M is formed once, by the gain design, which certifies it
-(``GainVector.closed_loop``); the observer marches [B | M] on the stacked
+``assemble`` builds F, d and C, and is the one place that knows the
+mirror node.  The step [K | d | F - K C] is formed once, by the
+``observer.ObserverProblem`` that certifies it, and marched on the stacked
 vector (f[n], g[n], state).
 """
 
@@ -29,13 +29,13 @@ from .records import Frozen
 
 
 class SystemMatrices(Frozen):
-    """The marching step F = I + dx*A and the top-trace selector row C of
-    one grid, with the spacings the sweep's data term needs; immutable and
-    shareable."""
+    """The plant of one grid: the marching step F = I + dx*A, the g-data
+    column d and the top-trace selector row C, with the grid's spacings;
+    immutable and shareable."""
 
-    def __init__(self, F: np.ndarray, C_row: np.ndarray, dx: float,
-                 dy: float, ny: int):
-        self.__dict__.update(F=F, C_row=C_row, dx=dx, dy=dy, ny=ny)
+    def __init__(self, F: np.ndarray, d: np.ndarray, C_row: np.ndarray,
+                 dx: float, dy: float, ny: int):
+        self.__dict__.update(F=F, d=d, C_row=C_row, dx=dx, dy=dy, ny=ny)
 
 
 def _second_difference(ny: int, dy: float) -> np.ndarray:
@@ -57,26 +57,18 @@ def _second_difference(ny: int, dy: float) -> np.ndarray:
 
 
 def assemble(grid: RectGrid) -> SystemMatrices:
-    """Build F = I + dx*A and the top-trace selector row."""
+    """Build F = I + dx*A, the g-data column d and the top-trace selector
+    row.  d is the mirror node's data coefficient -2 dx / dy of D's top
+    row, in the top du/dx row, and zero elsewhere."""
     ny = grid.ny
     D = _second_difference(ny, grid.dy)
     A = np.zeros((2 * ny, 2 * ny))
     A[:ny, ny:] = np.eye(ny)
     A[ny:, :ny] = -D
     F = np.eye(2 * ny) + grid.dx * A
+    d = np.zeros(2 * ny)
+    d[-1] = -2.0 * grid.dx / grid.dy
     C = np.zeros(2 * ny)
     C[ny - 1] = 1.0
-    return SystemMatrices(F=F, C_row=C, dx=grid.dx, dy=grid.dy, ny=ny)
+    return SystemMatrices(F=F, d=d, C_row=C, dx=grid.dx, dy=grid.dy, ny=ny)
 
-
-def input_columns(mats: SystemMatrices, k: np.ndarray) -> np.ndarray:
-    """The input columns B = [K | d] of the step, shape (2*ny, 2): the
-    sweep's input at step n is B @ (f[n], g[n]) = K f[n] + dx b(g[n]).
-
-    d is the mirror node's data coefficient -2 dx / dy of D's top row, in
-    the top du/dx row, and zero elsewhere.
-    """
-    B = np.zeros((2 * mats.ny, 2))
-    B[:, 0] = k
-    B[-1, 1] = -2.0 * mats.dx / mats.dy
-    return B

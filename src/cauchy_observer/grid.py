@@ -13,13 +13,14 @@ class RectGrid(Value):
 
     Row index 1 (the first y node) lies on the bottom boundary, row ny on the
     top boundary where the Cauchy data is given.  Immutable; safe to share.
-    The node arrays ``x`` and ``y`` are built on first read and are
-    read-only.
+    The spacings dx = a/(nx-1) and dy = b/(ny-1) follow from the fields;
+    ``build_grid`` checks the fields.  The node arrays ``x`` and ``y`` are
+    built on first read and are read-only.
     """
 
-    def __init__(self, a: float, b: float, nx: int, ny: int, dx: float,
-                 dy: float):
-        self.__dict__.update(a=a, b=b, nx=nx, ny=ny, dx=dx, dy=dy)
+    def __init__(self, a: float, b: float, nx: int, ny: int):
+        self.__dict__.update(a=a, b=b, nx=nx, ny=ny, dx=a / (nx - 1),
+                             dy=b / (ny - 1))
 
     @functools.cached_property
     def x(self) -> np.ndarray:
@@ -56,12 +57,12 @@ def build_grid(a: float, b: float, nx: int, ny: int) -> RectGrid:
         raise ValueError(f"insufficient x nodes: nx={nx} < 3")
     if ny < 3:
         raise ValueError(f"insufficient y nodes: ny={ny} < 3")
-    dx, dy = float(a) / (nx - 1), float(b) / (ny - 1)
+    grid = RectGrid(a=float(a), b=float(b), nx=nx, ny=ny)
+    dx, dy = grid.dx, grid.dy
     if not (dy * dy > 0.0 and math.isfinite(1.0 / (dy * dy))):
         raise ValueError(f"y spacing dy={dy} is too small: 1/dy**2 overflows")
     if not math.isfinite(dx * (5.0 * (1.0 / (dy * dy)))):
         raise ValueError(f"spacings dx={dx}, dy={dy} overflow the marching "
                          "step: 5*dx/dy**2 is not finite")
-    return RectGrid(a=float(a), b=float(b), nx=nx, ny=ny,
-                    dx=dx, dy=dy)
+    return grid
 

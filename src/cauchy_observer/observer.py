@@ -4,20 +4,20 @@ A sweep marches the estimated state line by line from x = 0 to x = a,
 injecting the measured top trace at every step.  Every step is the affine
 recursion
 
-    x_{n+1} = A @ (f[n], g[n], x_n),   A = [B | M],   M = F - K C,
+    x_{n+1} = A @ (f[n], g[n], x_n),   A = [K | d | M],   M = F - K C,
 
-where M is the gain's certified closed loop ``GainVector.closed_loop``,
-formed once by the gain design, and B = [K | d] are the input columns of
-``discrete_ops.input_columns``: A forms K f[n] + dx b(g[n]) and adds M
-applied to the state in the same matrix product.  So the matrix marched is
-the one the settling certificate below was computed for.  The sweep map,
-start line to final line, is a strict contraction whenever the gain
-certificate holds, and its fixed point is the periodic solution: the
-answer the paper reaches by chaining sweeps with wrap-around.  ``run``
-reaches it in one sweep.  A certified march is a stable linear map of the
-data, so its states scale with the data and cannot diverge; the one way it
-fails is overflow, which ``run`` reports as the first state that is not
-finite.
+the step ``ObserverProblem.step``, formed once, by the problem that
+certifies it: its M must equal the gain's certified closed loop
+``GainVector.closed_loop`` bit for bit, and d is ``assemble``'s g-data
+column.  A forms K f[n] + d g[n] and adds M applied to the state in the
+same matrix product, so the matrix marched is the one the settling
+certificate below was computed for.  The sweep map, start line to final
+line, is a strict contraction whenever the gain certificate holds, and
+its fixed point is the periodic solution: the answer the paper reaches by
+chaining sweeps with wrap-around.  ``run`` reaches it in one sweep.  A
+certified march is a stable linear map of the data, so its states scale
+with the data and cannot diverge; the one way it fails is overflow, which
+``run`` reports as the first state that is not finite.
 
 Warm start.  With N = nx - 1 steps per sweep, the periodic fixed point's
 start line is  x*_0 = c_W + M^W x*_(-W mod N)  for any W, where c_W is the
@@ -63,7 +63,8 @@ marches it, one for each warm-up length (the default run's and a start
 line's), from its second run on.  A later run on that gain refills the
 buffer's start states and data rows and loops over the kept views: 0.77
 times a run's time at 257x5, with the same arithmetic and the same bits.
-The workspaces are freed with the gain.  A run takes its workspace out and puts it back when it ends, by an
+Problems that share a gain share its workspaces, which are freed with the
+gain.  A run takes its workspace out and puts it back when it ends, by an
 exception too, so concurrent runs never share a buffer; as every run
 writes each row it reads, an interrupted run leaves nothing behind.  The
 field returned is a fresh array.
@@ -75,7 +76,7 @@ from typing import Optional
 
 import numpy as np
 
-from .discrete_ops import SystemMatrices, assemble, input_columns
+from .discrete_ops import SystemMatrices, assemble
 from .gain import GainVector, PoleSpec, ackermann_gain
 from .grid import RectGrid
 from .records import Frozen, Record
@@ -87,11 +88,13 @@ class NonFiniteState(Exception):
 
 
 class ObserverProblem(Frozen):
-    """The grid, its top Cauchy data, its matrices and the gain of one run.
+    """The grid, its top Cauchy data, its matrices and the gain of one run,
+    and the read-only step [K | d | F - K C] that ``run`` marches, of shape
+    (2*ny, 2*ny + 2).
 
-    The gain must have been designed on these matrices: ``run`` marches its
-    closed loop, and its settling certificate holds for that loop only, so
-    the loop must equal F - K C of ``mats`` bit for bit."""
+    The gain must have been designed on these matrices: its settling
+    certificate holds for its closed loop only, so the step's F - K C must
+    equal the gain's ``closed_loop`` bit for bit."""
 
     def __init__(self, grid: RectGrid, cauchy: CauchyData,
                  mats: SystemMatrices, gain: GainVector):
@@ -106,7 +109,14 @@ class ObserverProblem(Frozen):
                 or not (gain.closed_loop == loop).all()):
             raise ValueError("gain designed on other matrices: its closed "
                              "loop is not F - K C of these")
-        self.__dict__.update(grid=grid, cauchy=cauchy, mats=mats, gain=gain)
+        # the data columns first: in the order [M | K | d] the rounding
+        # moved error_bottom 1.9e-5 off a per-step march's at 257x6, at
+        # equal cost.  One concatenate: filling an empty step in place
+        # took 1.3 us more
+        step = np.concatenate((gain.k[:, None], mats.d[:, None], loop), axis=1)
+        step.flags.writeable = False
+        self.__dict__.update(grid=grid, cauchy=cauchy, mats=mats, gain=gain,
+                             step=step)
 
 
 def design(grid: RectGrid, cauchy: CauchyData,
@@ -216,16 +226,10 @@ def _layout(steps: int, lead: int, window: int, n: int):
     """
     if window >= steps - lead:
         return steps, steps, 0
-    # comparisons, not min and max: the builtins' calls took 0.3 us a run,
-    # 0.3% of a 257x5 run
     states = steps - lead + 1
-    count = states // _BLOCK
-    if n * (n + 2) * count > _STEP_WORK:
-        count = _STEP_WORK // (n * (n + 2)) or 1
-    per = -(-states // count) if count else states
-    if per > _BLOCK_MAX:
-        per = _BLOCK_MAX
-    span = window + per if window + per < steps else steps
+    count = min(states // _BLOCK, _STEP_WORK // (n * (n + 2)) or 1)
+    per = min(-(-states // count) if count else states, _BLOCK_MAX)
+    span = min(window + per, steps)
     return per, span, -(-(steps - span) // per)
 
 
@@ -234,8 +238,10 @@ def _layout(steps: int, lead: int, window: int, n: int):
 # they were made for.  A layout's first run keeps no Z: its Z is freed.
 # With glibc's malloc that matters: keeping the first Z left the mmap
 # threshold lower, and a 1025x3 solve's temporaries over 128 KB were
-# mmapped and faulted in afresh on every call (83 page faults an op,
-# cli_solve's p90 latency 16% up)
+# mmapped and faulted in afresh on every call (83 page faults an op).
+# Keeping it under per-gain workspaces, against freeing it: cli_solve's
+# p90 latency x1.145 (1.05-1.24), throughput x0.950 (0.93-0.98), peak RSS
+# x0.999, worse in all of 6 alternating process pairs of 10 s
 _SPACES = weakref.WeakKeyDictionary()
 
 
@@ -334,10 +340,6 @@ def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None):
             f"{problem.gain.spectral_radius:.6f})")
     grid, cauchy = problem.grid, problem.cauchy
     ny, steps = grid.ny, grid.nx - 1
-    # the data columns first: in the order [M | B] the rounding moved
-    # error_bottom 1.9e-5 off a per-step march's at 257x6, at equal cost
-    A = np.concatenate((input_columns(problem.mats, problem.gain.k),
-                        problem.gain.closed_loop), axis=1)
     D = np.empty((steps, 2))
     D[:, 0], D[:, 1] = cauchy.f[:-1], cauchy.g[:-1]
     if config.start_line is None:
@@ -356,7 +358,7 @@ def run(problem: ObserverProblem, config: Optional[ObserverConfig] = None):
                              f"({2 * ny},), not {start.shape}")
         if not np.isfinite(start).all():
             raise ValueError("start line must be finite")
-    cur = _march(start, A, D, lead, window,
+    cur = _march(start, problem.step, D, lead, window,
                  _SPACES.setdefault(problem.gain, {}))
     scale = np.abs(cur).max()
     defect = np.abs(cur[-1] - cur[0]).max()

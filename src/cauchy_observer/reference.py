@@ -130,29 +130,24 @@ def d_dy(sol: ReferenceSolution, x, y):
     return _sum_terms(sol, x, y, "y")
 
 
-def _isclose(a: float, b: float) -> bool:
-    """``np.isclose(a, b)`` for a finite ``b``, in scalar arithmetic."""
-    return abs(a - b) <= 1e-8 + 1e-5 * abs(b)
-
-
 def make_cauchy_data(sol: ReferenceSolution, grid: RectGrid) -> CauchyData:
     """Sample (f, g) on the top boundary at the grid's x nodes.
 
-    g is the analytic normal derivative, which vanishes identically for the
-    supported families (the cosh profile is flat at y = b).  When the grid's
-    b equals the solution's exactly, g is a +0.0 array made without the term
-    loop: there every term's sinh factor is sinh(0) = +0.0, so the loop sums
-    +0.0 at every node whenever f is finite.  When the two b differ within
-    the extent check's tolerance, ``d_dy`` samples g at the grid's b.  A sum
-    of terms that overflows is refused by ``CauchyData``'s finiteness check.
+    The solution and the grid must share their extents exactly: samples at
+    an a even 1e-6 off the solution's are not periodic on the grid, and the
+    sweep, which wraps the data around, recovers a bottom trace 6 times
+    further off at 257x5.  g is the analytic normal derivative, which
+    vanishes identically for the supported families (the cosh profile is
+    flat at y = b), so it is a +0.0 array made without the term loop: there
+    every term's sinh factor is sinh(0) = +0.0, so the loop sums +0.0 at
+    every node whenever f is finite.  A sum of terms that overflows is
+    refused by ``CauchyData``'s finiteness check.
     """
-    if not (_isclose(sol.a, grid.a) and _isclose(sol.b, grid.b)):
+    if (sol.a, sol.b) != (grid.a, grid.b):
         raise ValueError("solution and grid must share the domain extents")
-    x = grid.x
     with np.errstate(over="ignore", invalid="ignore"):
-        f = evaluate(sol, x, grid.b)
-        g = np.zeros(len(x)) if grid.b == sol.b else d_dy(sol, x, grid.b)
-    return CauchyData(f=np.asarray(f, dtype=float), g=np.asarray(g, dtype=float))
+        f = evaluate(sol, grid.x, grid.b)
+    return CauchyData(f=np.asarray(f, dtype=float), g=np.zeros(grid.nx))
 
 
 def bottom_trace(sol: ReferenceSolution, grid: RectGrid) -> np.ndarray:

@@ -208,7 +208,10 @@ def semigroup_apply(f: FunctionPair, x: float, modes: ModeSet) -> FunctionPair:
     At x = 0 this is the orthogonal projection onto the span of the mode
     set.  The projections read ``f.dp1``, as ``inner_product`` does.  The
     output carries analytic derivative samples so compositions stay exact
-    up to round-off.
+    up to round-off.  Raises ValueError for a distance at which a
+    propagation coefficient is not finite: exp(lam_n x) of the fastest
+    growing default mode (lam = 38) overflows past x = 18.68, and at an
+    infinite x turns a rounding-level projection into inf or nan.
     """
     if not x >= 0.0:
         raise ValueError("propagation distance must be nonnegative")
@@ -216,7 +219,11 @@ def semigroup_apply(f: FunctionPair, x: float, modes: ModeSet) -> FunctionPair:
         raise ValueError("pair and mode set use different quadrature nodes")
     lam, p1, dp1 = _sample_rows(modes)
     w = _trapezoid_weights(f.nodes)
-    c = np.exp(lam * x) * (dp1 @ (w * f.dp1) + lam * (p1 @ (w * f.p2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.exp(lam * x) * (dp1 @ (w * f.dp1) + lam * (p1 @ (w * f.p2)))
+    if not np.isfinite(c).all():
+        raise ValueError(f"propagation distance {x} overflows the "
+                         "propagator: a mode coefficient is not finite")
     return FunctionPair(p1=c @ p1, p2=(c * lam) @ p1, dp1=c @ dp1)
 
 
@@ -228,6 +235,7 @@ def observability_lower_bound(modes: ModeSet, x):
     round-off.  Each summand is strictly positive, so the bound is positive
     and grows monotonically as modes are added.  ``x`` is a distance or an
     array of distances; a scalar gives a float, an array one bound per entry.
+    Raises ValueError naming the first distance whose bound overflows.
     """
     x = np.asarray(x, dtype=float)
     if not (x >= 0.0).all():
@@ -235,7 +243,11 @@ def observability_lower_bound(modes: ModeSet, x):
     lam, p1, dp1 = _sample_rows(modes)
     w = _trapezoid_weights(modes.quadrature)
     diag = np.square(dp1) @ w + lam * lam * (np.square(p1) @ w)
-    total = np.square(np.exp(np.multiply.outer(x, lam)) * diag).sum(axis=-1)
+    with np.errstate(over="ignore"):
+        total = np.square(np.exp(np.multiply.outer(x, lam)) * diag).sum(axis=-1)
+    if not np.isfinite(total).all():
+        raise ValueError(f"distance x = {x[~np.isfinite(total)].flat[0]} "
+                         "overflows the observability bound")
     return float(total) if total.ndim == 0 else total
 
 

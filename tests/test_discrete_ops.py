@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cauchy_observer import (assemble, build_grid, input_columns,
-                             neumann_example, sample_state_field)
+from cauchy_observer import (assemble, build_grid, design, neumann_example,
+                             ring_poles, sample_state_field)
 from cauchy_observer.reference import make_cauchy_data
 
 A, B = 2 * np.pi, 0.5
@@ -15,9 +15,9 @@ def second_difference_of(mats):
 
 def one_step(state, mats, k, f_meas, g_meas):
     """One marching step: the closed loop F - K C, restated here, and the
-    input columns applied to the step's data."""
+    input columns [K | d] applied to the step's data."""
     M = mats.F - np.outer(k, mats.C_row)
-    return M @ state + input_columns(mats, k) @ (f_meas, g_meas)
+    return M @ state + k * f_meas + mats.d * g_meas
 
 
 class TestAssemble:
@@ -60,14 +60,17 @@ class TestAssemble:
 
 class TestInputColumns:
     def test_gain_and_mirror_node_coefficient(self):
-        # B = [K | d]: d is -2 dx / dy in the top du/dx row, zero elsewhere
-        g = build_grid(1.0, 0.5, 9, 4)
+        # the step's input columns are [K | d]: d is -2 dx / dy in the top
+        # du/dx row, zero elsewhere
+        g = build_grid(A, B, 65, 4)
         mats = assemble(g)
-        k = np.arange(1.0, 9.0)
-        B = input_columns(mats, k)
         d = np.zeros(8)
         d[-1] = -2.0 * g.dx / g.dy
-        assert np.array_equal(B, np.column_stack((k, d)))
+        assert np.array_equal(mats.d, d)
+        problem = design(g, make_cauchy_data(neumann_example(A, B), g),
+                         ring_poles(8))
+        assert np.array_equal(problem.step[:, :2],
+                              np.column_stack((problem.gain.k, d)))
 
 
 class TestStepLine:
@@ -122,7 +125,7 @@ def _defect_rate(nx, ny):
     field = sample_state_field(sol, grid)
     k = np.zeros(2 * grid.ny)
     M = mats.F - np.outer(k, mats.C_row)
-    inputs = np.stack((data.f, data.g), axis=1)[:-1] @ input_columns(mats, k).T
+    inputs = np.outer(data.f[:-1], k) + np.outer(data.g[:-1], mats.d)
     stepped = field[:-1] @ M.T + inputs
     return np.abs(stepped - field[1:]).max() / grid.dx
 

@@ -95,5 +95,20 @@ def test_nodes_built_once_and_read_only():
     # the cached nodes are not fields: equality and hashing ignore them
     fresh = build_grid(2 * np.pi, 0.5, 257, 5)
     assert g == fresh and hash(g) == hash(fresh)
-    assert set(inspect.signature(RectGrid).parameters) == {
-        "a", "b", "nx", "ny", "dx", "dy"}
+    assert list(inspect.signature(RectGrid).parameters) == [
+        "a", "b", "nx", "ny"]
+
+
+@pytest.mark.parametrize("a,b,nx,ny", [(2 * np.pi, 0.5, 257, 5),
+                                       (2 * np.pi, 0.37, 19, 7),
+                                       (3.7, 1.9, 2049, 3)])
+def test_direct_grid_equals_and_hashes_like_the_built_one(a, b, nx, ny):
+    # a directly built grid derives its spacings: it once took them as
+    # fields, and RectGrid(2 pi, 0.5, 257, 5, 1.0, 0.1) marched dx = 1.0 on
+    # nodes 2 pi / 256 apart
+    direct, built = RectGrid(a, b, nx, ny), build_grid(a, b, nx, ny)
+    assert direct == built and hash(direct) == hash(built)
+    assert (direct.dx, direct.dy) == (built.dx, built.dy)
+    assert (direct.dx, direct.dy) == (a / (nx - 1), b / (ny - 1))
+    with pytest.raises(TypeError):
+        RectGrid(a, b, nx, ny, 1.0, 0.1)

@@ -165,6 +165,29 @@ class TestRun:
                                match="gain designed on other matrices"):
                 ObserverProblem(grid, data, mats, bad)
 
+    @pytest.mark.parametrize("nx,ny", [(65, 5), (257, 6), (2049, 3)])
+    def test_step_is_k_d_and_the_certified_loop(self, nx, ny):
+        grid, mats, gain, _, data = standard_problem(nx, ny, "ring")
+        step = ObserverProblem(grid, data, mats, gain).step
+        assert step.shape == (2 * ny, 2 * ny + 2)
+        assert step[:, 0].tobytes() == gain.k.tobytes()
+        assert step[:, 1].tobytes() == mats.d.tobytes()
+        assert step[:, 2:].tobytes() == gain.closed_loop.tobytes()
+        assert step.flags.c_contiguous and not step.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            step[0, 0] = 1.0
+
+    def test_run_marches_the_problem_step(self):
+        # a step whose state columns are scaled marches another field: run
+        # reads problem.step, not the gain's loop
+        grid, mats, gain, _, data = standard_problem(257, 5, "ring")
+        problem = ObserverProblem(grid, data, mats, gain)
+        field = run(problem)[0]
+        halved = problem.step.copy()
+        halved[:, 2:] *= 0.5
+        problem.__dict__["step"] = halved
+        assert not np.array_equal(run(problem)[0], field)
+
     def test_zero_data_zero_solution(self):
         grid, mats, gain, _, _ = standard_problem()
         data = CauchyData(f=np.zeros(grid.nx), g=np.zeros(grid.nx))
@@ -980,9 +1003,7 @@ class TestWorkspacePool:
                 return np.asarray(self).dot(*args)
 
         grid, W = problem.grid, problem.gain.settle_steps
-        step = np.concatenate((observer.input_columns(problem.mats,
-                                                      problem.gain.k),
-                               problem.gain.closed_loop), axis=1)
+        step = problem.step
         x0, inputs, spaces = np.zeros(2 * grid.ny), wrapped_inputs(problem), {}
         for _ in range(2):
             observer._march(x0, step, inputs, W, W, spaces)

@@ -204,11 +204,22 @@ def test_cauchy_g_at_matching_b_is_the_term_loop_zero(terms):
     assert not np.signbit(g).any()
 
 
-def test_cauchy_g_at_nearby_b_samples_the_derivative():
-    # a b within the extent check's tolerance but not equal: g is sampled
+def test_cauchy_data_at_nearby_b_refused():
+    # a b 1e-9 off the grid's once passed the extent check, and g was
+    # sampled there; extents must now be equal
     sol = combo_example([TrigTerm(1, 1.0, "cos"), TrigTerm(2, 0.5, "sin")],
                         A, B)
-    grid = build_grid(A, B + 1e-9, 65, 5)
-    g = make_cauchy_data(sol, grid).g
-    assert np.any(g != 0.0)
-    assert np.array_equal(g, np.asarray(d_dy(sol, grid.x, grid.b)))
+    with pytest.raises(ValueError, match="share the domain extents"):
+        make_cauchy_data(sol, build_grid(A, B + 1e-9, 65, 5))
+
+
+def test_cauchy_data_at_nearby_a_refused():
+    # at 257x5 a solution a 1e-5 off the grid's once passed the extent
+    # check: its samples are not periodic on the grid, and the ring gain's
+    # sweep recovered a bottom error of 1.11 (0.0178 at equal extents)
+    # with a periodicity defect of 1.6e-8
+    grid = build_grid(A, B, 257, 5)
+    for a in (A + 1e-5, A - 1e-5, np.nextafter(A, 7.0)):
+        with pytest.raises(ValueError, match="share the domain extents"):
+            make_cauchy_data(neumann_example(a, B), grid)
+    assert not make_cauchy_data(neumann_example(A, B), grid).g.any()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,30 @@ class TestSemigroup:
         ms = ModeSet((0,), 101)
         with pytest.raises(ValueError, match="must be nonnegative"):
             semigroup_apply(sample_mode(0, 101), float("nan"), ms)
+
+    @pytest.mark.parametrize("x", [float("inf"), 200.0])
+    def test_overflowing_distance_rejected(self, x):
+        # mode 1 decays to 0, but at inf the growing modes' exp(inf) times a
+        # rounding-level projection gave a -inf pair with nan in dp1, and at
+        # 200 exp(38 * 200) overflowed to a nan pair with a RuntimeWarning
+        ms = ModeSet(DEFAULT_MODE_INDICES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"distance {x} overflows"):
+                semigroup_apply(sample_mode(1, ms.quadrature), x, ms)
+
+    def test_finite_distance_keeps_its_bits(self):
+        # the coefficients, restated without the overflow guard
+        ms = ModeSet(DEFAULT_MODE_INDICES)
+        f = combination((0, 1, 3), ms.quadrature, (1.0, -0.5, 0.25))
+        lam, p1, dp1 = _sample_rows(ms)
+        w = np.full(ms.quadrature, ANALYSIS_LENGTH / (ms.quadrature - 1))
+        w[[0, -1]] *= 0.5
+        c = np.exp(lam * 0.1) * (dp1 @ (w * f.dp1) + lam * (p1 @ (w * f.p2)))
+        out = semigroup_apply(f, 0.1, ms)
+        for got, want in ((out.p1, c @ p1), (out.p2, (c * lam) @ p1),
+                          (out.dp1, c @ dp1)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestObservation:
@@ -353,6 +379,25 @@ class TestAgainstPerModeReference:
         # NaN passed a guard of (x < 0).any() and gave a NaN bound
         with pytest.raises(ValueError, match="x must be nonnegative"):
             observability_lower_bound(ModeSet((0,), 101), x)
+
+    @pytest.mark.parametrize("x,named", [(float("inf"), "inf"),
+                                         (200.0, "200.0"),
+                                         ([0.1, 10.0, float("inf")], "10.0")])
+    def test_overflowing_distance_rejected(self, x, named):
+        # the bound was inf at x = inf, with no error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"x = {named} overflows"):
+                observability_lower_bound(ModeSet(DEFAULT_MODE_INDICES), x)
+
+    def test_finite_distance_keeps_its_bits(self):
+        ms = ModeSet(DEFAULT_MODE_INDICES)
+        lam, p1, dp1 = _sample_rows(ms)
+        w = np.full(ms.quadrature, ANALYSIS_LENGTH / (ms.quadrature - 1))
+        w[[0, -1]] *= 0.5
+        diag = np.square(dp1) @ w + lam * lam * (np.square(p1) @ w)
+        want = np.square(np.exp(lam * 0.1) * diag).sum()
+        assert observability_lower_bound(ms, 0.1) == float(want)
 
 
 class TestSamplingMemo:
